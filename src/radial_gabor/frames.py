@@ -26,10 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import LatticeAtom, LatticeIndex, LatticeSpec, LatticeTable, lattice_table
-from .profiles import RadialProfile, norm, sphere_area
+from .profiles import GaussianSpec, RadialProfile, norm, sphere_area
 from .stft import (
     OrbitPoint,
     _averaged_shift_values,
+    _gaussian_shift_values,
     _shifted_window_samples,
     phi_node_count,
 )
@@ -109,11 +110,14 @@ class FrameSystem:
 def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = True) -> FrameSystem:
     """Cache all atom profiles for the truncated lattice.
 
-    Atoms on one (j, k) ring share the shifted window samples, and for real
-    windows the atom at -ell is the conjugate of the one at +ell, so only
-    half of each ring is integrated.  Rings are independent and run on a
-    small thread pool; results are deterministic because every profile is
-    stored by index.
+    When the window's analytic evaluator is a ``GaussianSpec``, every atom
+    comes from the closed-form rotation average (a confluent
+    hypergeometric 0F1, see ``radial_gabor.stft``); every other window is
+    integrated by phi-quadrature, and atoms on one (j, k) ring share the
+    shifted window samples.  For real windows the atom at -ell is the
+    conjugate of the one at +ell, so only half of each ring is computed.
+    Rings are independent and run on a small thread pool; results are
+    deterministic because every profile is stored by index.
     """
     if norm(window) == 0.0:
         raise ValueError("frame window must be nonzero")
@@ -132,19 +136,25 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
             ring_starts.append(i)
     ring_starts.append(n_atoms)
 
+    gaussian = window.analytic if isinstance(window.analytic, GaussianSpec) else None
+
     def fill_ring(ring_idx: int) -> None:
         start, stop = ring_starts[ring_idx], ring_starts[ring_idx + 1]
         r = float(table.r[start])
         s = float(table.s[start])
-        nodes = phi_node_count(window.theta_max, r, s)
-        ring = _shifted_window_samples(window, r, nodes)
+        if gaussian is None:
+            nodes = phi_node_count(window.theta_max, r, s)
+            ring = _shifted_window_samples(window, r, nodes)
         n_ang = int(table.n_angles[start])
         for i in range(start, stop):
             ell = int(table.ell[i])
             if window_is_real and ell < 0:
                 continue  # filled from the +ell conjugate below
             point = OrbitPoint(r, s, float(table.c[i]))
-            values = _averaged_shift_values(window, point, nodes, ring=ring)
+            if gaussian is None:
+                values = _averaged_shift_values(window, point, nodes, ring=ring)
+            else:
+                values = _gaussian_shift_values(gaussian, window.radii, window.dim, point)
             phase = complex(
                 math.cos(math.pi * point.r * point.s * point.c),
                 math.sin(math.pi * point.r * point.s * point.c),

@@ -14,6 +14,7 @@ theta_max.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,6 +60,14 @@ class GaussianSpec:
 
     alpha: float
     amp: float = 1.0
+
+    def __post_init__(self) -> None:
+        # alpha <= 0 is constant or growing: not in L2, and it breaks the
+        # no-overflow bound of the closed-form shift
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError("GaussianSpec alpha must be finite and positive")
+        if not cmath.isfinite(self.amp):
+            raise ValueError("GaussianSpec amp must be finite")
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         return self.amp * np.exp(-self.alpha * np.asarray(theta, dtype=float) ** 2)

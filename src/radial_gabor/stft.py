@@ -14,18 +14,29 @@ the single integral
 evaluated here by Gauss-Legendre quadrature on [0, pi] with a node count
 that grows with the total oscillation theta_max * (r + s).
 
+For a Gaussian g(theta) = A exp(-alpha theta^2) the average is exact,
+
+    A exp(-alpha theta^2 - alpha r^2) * 0F1(; d/2; theta^2 w),
+    w = alpha^2 r^2 - pi^2 s^2 + 2 i alpha pi r s c,
+
+and ``_gaussian_shift_values`` evaluates it through the exponentially
+scaled Bessel function ``scipy.special.ive``.  ``build_frame`` uses it for
+``GaussianSpec`` windows; ``rot_avg_shift`` and ``radial_stft`` always
+integrate, so the closed form and the quadrature check each other.
+
 ``stft_direct_2d`` is a deliberately independent tensor-quadrature STFT in
 d = 2, used as an oracle by the tests and the acceptance suite.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import gamma, ive, roots_legendre
 
 from .bessel import sph_bessel_values
 from .profiles import GaussianSpec, RadialProfile, inner, sphere_area
@@ -142,6 +153,33 @@ def _averaged_shift_values(
     re = (kernel * np.cos(phase_arg)) @ w_phi
     im = (kernel * np.sin(phase_arg)) @ w_phi
     return prefactor * (re + 1j * im)
+
+
+def _gaussian_shift_values(
+    g: GaussianSpec, radii: np.ndarray, d: int, point: OrbitPoint
+) -> np.ndarray:
+    """Closed form of the averaged shift of g(theta) = A exp(-alpha theta^2)
+    at ``radii``: A exp(-alpha theta^2 - alpha r^2) 0F1(; d/2; theta^2 w) with
+    w = alpha^2 r^2 - pi^2 s^2 + 2 i alpha pi r s c.
+
+    0F1 is evaluated as Gamma(nu+1) z^-nu ive(nu, 2z) exp(2 Re z), with
+    nu = (d-2)/2 and z = theta sqrt(w).  Re sqrt(w) <= alpha r, so the
+    combined exponent is at most -alpha (theta - r)^2 and nothing overflows.
+    """
+    r, s, c = point.r, point.s, point.c
+    alpha = g.alpha
+    nu = 0.5 * (d - 2)
+    z = radii * cmath.sqrt(complex(alpha * alpha * r * r - math.pi**2 * s * s,
+                                   2.0 * alpha * math.pi * r * s * c))
+    exponent = -alpha * (radii * radii + r * r)
+    out = np.exp(exponent).astype(complex)
+    # below |z| = 1e-8 the series 1 + z^2/(nu+1) + ... of 0F1 is 1 to
+    # roundoff, while z^-nu overflows as z -> 0 (the origin atom has z = 0)
+    big = np.abs(z) > 1e-8
+    zb = z[big]
+    out[big] = (gamma(nu + 1.0) * zb ** (-nu) * ive(nu, 2.0 * zb)
+                * np.exp(2.0 * zb.real + exponent[big]))
+    return g.amp * out
 
 
 def rot_avg_shift(

@@ -82,6 +82,37 @@ class TestBuildFrame:
         assert np.max(np.abs(fr.atom_matrix[i] - expected)) < 1e-12
 
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_gaussian_closed_form_matches_quadrature(self, d):
+        # the same Gaussian as a plain function takes the phi-quadrature path
+        g = GaussianSpec(1.3, 0.7)
+        spec = LatticeSpec(a=0.5, b=0.5, d=d, jk_max=5)
+        closed = build_frame(make_profile(d, 8.0, 1024, g), spec, normalized=True)
+        quad = build_frame(make_profile(d, 8.0, 1024, lambda t: g(t)), spec, normalized=True)
+        tab = closed.table
+        assert tab.r[0] == 0.0 and tab.s[0] == 0.0  # the origin atom is row 0
+        assert np.max(np.abs(closed.atom_matrix[0] - closed.window.values)) < 1e-15
+        bound = 1e-12 * np.sqrt(tab.mu) * norm(closed.window)
+        assert np.all(np.max(np.abs(closed.atom_matrix - quad.atom_matrix), axis=1) <= bound)
+
+    def test_non_gaussian_real_window_conjugate_rows(self):
+        # a real window without closed form: the quadrature ring path and
+        # its -ell = conj(+ell) shortcut
+        window = make_profile(2, 8.0, 1024, lambda t: (1.0 + t**2) ** -4 * np.cos(t))
+        fr = build_frame(window, LatticeSpec(a=0.5, b=0.5, d=2, jk_max=5), normalized=True)
+        tab = fr.table
+        rows = []
+        for j, k in ((1, 1), (2, 3), (4, 1)):
+            ring = (tab.j == j) & (tab.k == k)
+            ell = int(tab.ell[ring].max())
+            rows += [int(np.flatnonzero(ring & (tab.ell == e))[0]) for e in (ell, -ell)]
+        for i in rows:
+            p = OrbitPoint(float(tab.r[i]), float(tab.s[i]), float(tab.c[i]))
+            phase = np.exp(1j * math.pi * p.r * p.s * p.c)
+            expected = math.sqrt(tab.mu[i]) * phase * rot_avg_shift(window, p).values
+            assert np.max(np.abs(fr.atom_matrix[i] - expected)) < 1e-12
+
+
 class TestAnalyzeSynthesize:
     def test_analyze_zero(self, frame8):
         zero = frame8.window.with_values(np.zeros_like(frame8.window.values))

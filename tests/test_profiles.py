@@ -57,6 +57,18 @@ class TestMakeProfile:
             assert norm(normalized_gaussian_window(d)) == pytest.approx(1.0, abs=1e-10)
 
 
+class TestGaussianSpec:
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError):
+            GaussianSpec(alpha)
+
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, complex(1.0, math.inf)])
+    def test_rejects_non_finite_amp(self, amp):
+        with pytest.raises(ValueError):
+            GaussianSpec(1.0, amp)
+
+
 class TestInnerNorm:
     def test_inner_with_zero(self):
         f = make_profile(2, 4.0, 64, GaussianSpec(1.0))

@@ -16,6 +16,7 @@ from radial_gabor.profiles import (
 from radial_gabor.stft import (
     InsufficientQuadratureError,
     OrbitPoint,
+    _gaussian_shift_values,
     phi_node_count,
     radial_stft,
     rot_avg_shift,
@@ -127,6 +128,19 @@ class TestRotAvgShift:
         a = rot_avg_shift(analytic, p).values
         b = rot_avg_shift(sampled, p).values
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_gaussian_closed_form_finite_at_large_shift(self, d):
+        # |Omega g (theta)| <= A exp(-alpha (theta - r)^2), the bound that keeps
+        # the scaled evaluation from overflowing
+        g = GaussianSpec(math.pi, 2.0 ** (d / 4.0))
+        radii = np.linspace(0.0, 60.0, 1201)
+        for c in (-1.0, 0.0, 0.3, 1.0):
+            values = _gaussian_shift_values(g, radii, d, OrbitPoint(40.0, 40.0, c))
+            assert np.all(np.isfinite(values))
+            envelope = g.amp * np.exp(-g.alpha * (radii - 40.0) ** 2)
+            assert np.all(np.abs(values) <= envelope * (1.0 + 1e-12) + 1e-300)
 
 
 class TestRadialStft:
