@@ -1,19 +1,14 @@
 """Bessel functions of the first kind and the normalized spherical average B_d.
 
-``bessel_j`` evaluates J_nu for integer and half-integer orders nu >= 0.
-Integer orders use the power series below x = 20 (accumulated in
-double-double arithmetic so cancellation does not eat into the accuracy
-budget) and the Hankel asymptotic expansion above, where the two branches
-agree to better than 1e-12.  Half-integer orders are evaluated through the
-elementary closed forms of J_{1/2} and J_{3/2} with upward recurrence for
-x >= nu and a normalized downward (Miller) recurrence for x < nu, where
-upward recurrence is unstable.
+``bessel_j`` is J_nu for integer and half-integer orders nu >= 0, through
+``scipy.special.jv``.  ``sph_bessel_values`` is B_d(t), the average of
+exp(2*pi*i*t*eta.xi) over the unit sphere S^{d-1}, with a = (d-2)/2:
 
-``sph_bessel`` evaluates B_d(t), the average of exp(2*pi*i*t*eta.xi) over
-the unit sphere S^{d-1}, via B_d(t) = Gamma(a+1) (pi t)^(-a) J_a(2 pi t)
-with a = (d-2)/2.  ``sph_bessel_values`` is the vectorized counterpart used
-inside quadrature loops; it trades the last two digits for speed and is
-checked against the scalar routine in the tests.
+    B_d(t) = 0F1(; d/2; -(pi t)^2) = Gamma(a+1) (pi t)^(-a) J_a(2 pi t),
+
+one ``scipy.special.hyp0f1`` call, exact for every d >= 2 including t = 0;
+the closed forms B_1 = cos(2 pi t) (more accurate) and B_3 = sinc(2t) (four
+times faster) replace it there.  ``sph_bessel`` is the scalar wrapper.
 """
 
 from __future__ import annotations
@@ -22,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "BesselOrder",
@@ -31,62 +27,6 @@ __all__ = [
     "lanczos_gamma",
 ]
 
-_PI_HI = math.pi
-_PI_LO = 1.2246467991473532e-16  # pi - float(pi)
-
-_SERIES_MAX_X = 20.0  # power-series / Hankel switch for integer orders
-
-
-# ----------------------------------------------------------------------
-# double-double helpers (hi + lo pairs), used only by the integer series
-# ----------------------------------------------------------------------
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    return s, b - (s - a)
-
-
-def _split(a: float) -> tuple[float, float]:
-    t = 134217729.0 * a  # 2**27 + 1
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    s, e = _two_sum(a[0], b[0])
-    e += a[1] + b[1]
-    return _quick_two_sum(s, e)
-
-
-def _dd_mul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    p, e = _two_prod(a[0], b[0])
-    e += a[0] * b[1] + a[1] * b[0]
-    return _quick_two_sum(p, e)
-
-
-def _dd_div_d(a: tuple[float, float], b: float) -> tuple[float, float]:
-    q1 = a[0] / b
-    p, e = _two_prod(q1, b)
-    q2 = ((a[0] - p) - e + a[1]) / b
-    return _quick_two_sum(q1, q2)
-
-
-# ----------------------------------------------------------------------
-# order bookkeeping
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BesselOrder:
@@ -118,184 +58,32 @@ class BesselOrder:
         return cls(int(ti))
 
 
-# ----------------------------------------------------------------------
-# Lanczos gamma
-# ----------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def lanczos_gamma(x: float) -> float:
-    """Gamma(x) for x > 0 by the classic g=7, n=9 Lanczos approximation."""
+    """Gamma(x) for x > 0 (``math.gamma``; the name is kept for callers)."""
     if x <= 0.0:
         raise ValueError("lanczos_gamma requires x > 0")
-    if x < 0.5:
-        # reflection keeps the rational part well conditioned near 0
-        return math.pi / (math.sin(math.pi * x) * lanczos_gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-# ----------------------------------------------------------------------
-# scalar J_nu
-# ----------------------------------------------------------------------
-
-def _series_prefactor(nu: float, x: float) -> float:
-    # (x/2)^nu / Gamma(nu + 1)
-    if nu == 0.0:
-        return 1.0
-    return math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0))
-
-
-def _j_series(nu: float, x: float) -> float:
-    """Power series with double-double accumulation, for x <= ~20 or nu > x."""
-    quarter_sq = _dd_mul(_two_prod(x, x), (0.25, 0.0))
-    term: tuple[float, float] = (1.0, 0.0)
-    total: tuple[float, float] = (1.0, 0.0)
-    for k in range(1, 400):
-        term = _dd_mul(term, quarter_sq)
-        term = _dd_div_d(term, -(k * (k + nu)))
-        total = _dd_add(total, term)
-        if abs(term[0]) < 1e-34 * abs(total[0]) + 1e-320:
-            break
-    return _series_prefactor(nu, x) * (total[0] + total[1])
-
-
-def _hankel_phase(nu: float, x: float) -> tuple[float, float]:
-    # chi = x - (2 nu + 1) pi / 4 in double-double, then first-order phase fix
-    k = (2.0 * nu + 1.0) / 4.0
-    p, e = _two_prod(k, _PI_HI)
-    e += k * _PI_LO
-    chi_hi, chi_lo = _dd_add((x, 0.0), (-p, -e))
-    c0, s0 = math.cos(chi_hi), math.sin(chi_hi)
-    return c0 - s0 * chi_lo, s0 + c0 * chi_lo
-
-
-def _j_hankel(nu: float, x: float) -> float:
-    """Hankel asymptotic expansion with optimal truncation; x >= ~20, nu <= x."""
-    mu4 = 4.0 * nu * nu
-    p_sum, q_sum = 0.0, 0.0
-    a_j = 1.0
-    term = 1.0
-    prev = math.inf
-    for j in range(0, 60):
-        if j > 0:
-            a_j *= (mu4 - (2.0 * j - 1.0) ** 2) / (8.0 * j)
-            term = a_j / x**j
-        if abs(term) >= prev:
-            break
-        if j % 2 == 0:
-            p_sum += term if (j // 2) % 2 == 0 else -term
-        else:
-            q_sum += term if ((j - 1) // 2) % 2 == 0 else -term
-        prev = abs(term)
-        if prev < 1e-19:
-            break
-    cos_chi, sin_chi = _hankel_phase(nu, x)
-    return math.sqrt(2.0 / (math.pi * x)) * (cos_chi * p_sum - sin_chi * q_sum)
-
-
-def _j_integer(n: int, x: float) -> float:
-    if x <= _SERIES_MAX_X or n > x:
-        return _j_series(float(n), x)
-    j0 = _j_hankel(0.0, x)
-    if n == 0:
-        return j0
-    j1 = _j_hankel(1.0, x)
-    if n == 1:
-        return j1
-    # forward recurrence, stable while the order stays below the argument
-    jm1, jm = j0, j1
-    for m in range(1, n):
-        jm1, jm = jm, (2.0 * m / x) * jm - jm1
-    return jm
-
-
-def _j_half_closed(twice: int, x: float) -> float:
-    # twice in {1, 3}
-    amp = math.sqrt(2.0 / (math.pi * x))
-    if twice == 1:
-        return amp * math.sin(x)
-    return amp * (math.sin(x) / x - math.cos(x))
-
-
-def _j_half_upward(twice: int, x: float) -> float:
-    jm1 = _j_half_closed(1, x)
-    if twice == 1:
-        return jm1
-    jm = _j_half_closed(3, x)
-    nu = 1.5
-    while twice > 3:
-        jm1, jm = jm, (2.0 * nu / x) * jm - jm1
-        nu += 1.0
-        twice -= 2
-    return jm
-
-
-def _j_half_miller(twice: int, x: float) -> float:
-    """Normalized downward recurrence through the spherical ladder
-    j_n = sqrt(pi/(2x)) J_{n+1/2}; used when x is below the turning point."""
-    m = (twice - 1) // 2
-    start = m + 20 + int(2.0 * math.sqrt(m + 40.0))
-    jp, jc = 0.0, 1e-30
-    j_target = j1 = j0 = 0.0
-    for n in range(start, 0, -1):
-        jm = (2.0 * n + 1.0) / x * jc - jp
-        jp, jc = jc, jm
-        if n - 1 == m:
-            j_target = jc
-        if n - 1 == 1:
-            j1 = jc
-        if n - 1 == 0:
-            j0 = jc
-        if abs(jc) > 1e250:
-            jp, jc = jp * 1e-250, jc * 1e-250
-            j_target, j1, j0 = j_target * 1e-250, j1 * 1e-250, j0 * 1e-250
-    j0_true = math.sin(x) / x
-    j1_true = math.sin(x) / x**2 - math.cos(x) / x
-    scale = j0_true / j0 if abs(j0_true) >= abs(j1_true) else j1_true / j1
-    return math.sqrt(2.0 * x / math.pi) * j_target * scale
+    return math.gamma(x)
 
 
 def bessel_j(order: BesselOrder | float | int, x: float) -> float:
     """Bessel function of the first kind J_nu(x) for nu >= 0 integer or
     half-integer and x >= 0."""
     o = BesselOrder.from_value(order)
-    x = float(x)
-    if x < 0.0:
+    if float(x) < 0.0:
         raise ValueError("bessel_j requires x >= 0")
-    if x == 0.0:
-        return 1.0 if o.twice_order == 0 else 0.0
-    if o.is_integer:
-        return _j_integer(o.twice_order // 2, x)
-    nu = o.value
-    if x >= nu:
-        return _j_half_upward(o.twice_order, x)
-    return _j_half_miller(o.twice_order, x)
+    return float(special.jv(o.value, float(x)))
 
 
-# ----------------------------------------------------------------------
-# scalar B_d
-# ----------------------------------------------------------------------
-
-def _sph_small_t(alpha: float, t: float) -> float:
-    z = (math.pi * t) ** 2
-    return 1.0 - z / (alpha + 1.0) * (1.0 - z / (2.0 * (alpha + 2.0)))
+def sph_bessel_values(d: int, t: np.ndarray) -> np.ndarray:
+    """B_d on an array of t >= 0, to ~1e-14 absolute."""
+    if d < 1:
+        raise ValueError("sph_bessel_values requires d >= 1")
+    t = np.asarray(t, dtype=float)
+    if d == 1:
+        return np.cos(2.0 * math.pi * t)
+    if d == 3:
+        return np.sinc(2.0 * t)
+    return special.hyp0f1(d / 2.0, -((math.pi * t) ** 2))
 
 
 def sph_bessel(d: int, t: float) -> float:
@@ -309,166 +97,4 @@ def sph_bessel(d: int, t: float) -> float:
     t = float(t)
     if t < 0.0:
         raise ValueError("sph_bessel requires t >= 0")
-    if d == 1:
-        return math.cos(2.0 * math.pi * t)
-    alpha = (d - 2) / 2.0
-    if t < 1e-6:
-        return _sph_small_t(alpha, t)
-    j = bessel_j(BesselOrder(d - 2), 2.0 * math.pi * t)
-    if d == 2:
-        return j
-    return lanczos_gamma(alpha + 1.0) * (math.pi * t) ** (-alpha) * j
-
-
-# ----------------------------------------------------------------------
-# vectorized B_d for quadrature inner loops
-# ----------------------------------------------------------------------
-
-def _j_series_arr(m: int, x: np.ndarray, n_terms: int = 48) -> np.ndarray:
-    """Vectorized power series for integer order m; intended for x <= ~14."""
-    quarter_sq = -0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, n_terms):
-        term = term * quarter_sq / (k * (k + m))
-        total += term
-    if m == 0:
-        pref = 1.0
-    else:
-        pref = np.exp(m * np.log(np.where(x > 0.0, 0.5 * x, 1.0)) - math.lgamma(m + 1.0))
-        pref = np.where(x > 0.0, pref, 0.0)
-    return pref * total
-
-
-def _hankel_coeffs(nu_int: int, count: int = 40) -> np.ndarray:
-    mu4 = 4.0 * nu_int * nu_int
-    a = np.empty(count)
-    a[0] = 1.0
-    for j in range(1, count):
-        a[j] = a[j - 1] * (mu4 - (2.0 * j - 1.0) ** 2) / (8.0 * j)
-    return a
-
-
-def _j_hankel_arr(m: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized Hankel expansion with per-element optimal truncation."""
-    a = _hankel_coeffs(m)
-    inv_x = 1.0 / x
-    p_sum = np.zeros_like(x)
-    q_sum = np.zeros_like(x)
-    term = np.ones_like(x)
-    prev = np.full_like(x, np.inf)
-    alive = np.ones(x.shape, dtype=bool)
-    for j in range(0, a.size - 1):
-        if j > 0:
-            term = term * (a[j] / a[j - 1]) * inv_x
-        mag = np.abs(term)
-        alive &= mag < prev
-        if not alive.any():
-            break
-        contrib = np.where(alive, term, 0.0)
-        if j % 2 == 0:
-            p_sum += contrib if (j // 2) % 2 == 0 else -contrib
-        else:
-            q_sum += contrib if ((j - 1) // 2) % 2 == 0 else -contrib
-        prev = mag
-    chi = x - (2.0 * m + 1.0) * (math.pi / 4.0)
-    return np.sqrt(2.0 / (math.pi * x)) * (np.cos(chi) * p_sum - np.sin(chi) * q_sum)
-
-
-def _j_int_arr(m: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized J_m for integer m <= ~4 on x >= 0."""
-    out = np.empty_like(x)
-    small = x <= 14.0
-    if small.any():
-        out[small] = _j_series_arr(m, x[small])
-    big = ~small
-    if big.any():
-        xb = x[big]
-        if m == 0:
-            out[big] = _j_hankel_arr(0, xb)
-        elif m == 1:
-            out[big] = _j_hankel_arr(1, xb)
-        else:
-            jm1 = _j_hankel_arr(0, xb)
-            jm = _j_hankel_arr(1, xb)
-            for k in range(1, m):
-                jm1, jm = jm, (2.0 * k / xb) * jm - jm1
-            out[big] = jm
-    return out
-
-
-def _sph_j_arr(n: int, z: np.ndarray) -> np.ndarray:
-    """Vectorized spherical j_n (elementary forms), n <= ~4, z >= 0."""
-    out = np.empty_like(z)
-    small = z <= max(8.0, 1.5 * n)
-    if small.any():
-        zs = z[small]
-        # j_n(z) = z^n/(2n+1)!! sum_k (-z^2/2)^k / (k! (2n+2k+1)!!/(2n+1)!!)
-        term = np.ones_like(zs)
-        total = np.ones_like(zs)
-        for k in range(1, 40):
-            term = term * (-0.5 * zs * zs) / (k * (2.0 * n + 2.0 * k + 1.0))
-            total += term
-        dfact = 1.0
-        for i in range(1, n + 1):
-            dfact *= 2.0 * i + 1.0
-        out[small] = zs**n / dfact * total
-    big = ~small
-    if big.any():
-        zb = z[big]
-        j0 = np.sin(zb) / zb
-        if n == 0:
-            out[big] = j0
-        else:
-            j1 = np.sin(zb) / zb**2 - np.cos(zb) / zb
-            jm1, jm = j0, j1
-            for k in range(1, n):
-                jm1, jm = jm, (2.0 * k + 1.0) / zb * jm - jm1
-            out[big] = jm
-    return out
-
-
-def sph_bessel_values(d: int, t: np.ndarray) -> np.ndarray:
-    """Vectorized B_d on a nonnegative array; absolute accuracy ~1e-10,
-    which is below the quadrature error of every consumer."""
-    if d < 1:
-        raise ValueError("sph_bessel_values requires d >= 1")
-    t = np.asarray(t, dtype=float)
-    if d == 1:
-        return np.cos(2.0 * math.pi * t)
-    if d == 3:
-        z = 2.0 * math.pi * t
-        return np.where(t < 1e-6, _sph_small_t_arr(0.5, t), np.sin(np.where(z > 0, z, 1.0)) / np.where(z > 0, z, 1.0))
-    out = np.empty_like(t)
-    tiny = t < 1e-6
-    alpha = (d - 2) / 2.0
-    if tiny.any():
-        out[tiny] = _sph_small_t_arr(alpha, t[tiny])
-    rest = ~tiny
-    if not rest.any():
-        return out
-    tr = t[rest]
-    z = 2.0 * math.pi * tr
-    if d % 2 == 0:
-        m = (d - 2) // 2
-        if m > 4:
-            out[rest] = np.array([sph_bessel(d, ti) for ti in tr])
-            return out
-        jm = _j_int_arr(m, z)
-        out[rest] = math.gamma(m + 1.0) * (math.pi * tr) ** (-float(m)) * jm
-    else:
-        n = (d - 3) // 2
-        if n > 4:
-            out[rest] = np.array([sph_bessel(d, ti) for ti in tr])
-            return out
-        jn = _sph_j_arr(n, z)
-        dfact = 1.0
-        for i in range(1, n + 1):
-            dfact *= 2.0 * i + 1.0
-        out[rest] = dfact * z ** (-float(n)) * jn
-    return out
-
-
-def _sph_small_t_arr(alpha: float, t: np.ndarray) -> np.ndarray:
-    z = (math.pi * t) ** 2
-    return 1.0 - z / (alpha + 1.0) * (1.0 - z / (2.0 * (alpha + 2.0)))
+    return float(sph_bessel_values(d, t))

@@ -267,6 +267,40 @@ class TestFrameBounds:
         assert lo == pytest.approx(eig[0], rel=1e-8)
         assert hi == pytest.approx(eig[-1], rel=1e-8)
 
+    def test_bounds_match_public_rayleigh_quotients(self, frame12):
+        # independent of the eigensolver: Rayleigh quotients <S f, f>/||f||^2
+        # through the public API, on seeded random combinations of the test
+        # basis, the basis vectors, and the iterates of a power iteration on
+        # the compressed operator (shifted for the lower end)
+        from radial_gabor.frames import _test_subspace
+
+        lo, hi = frame_bounds(frame12, test_dim=5)
+        basis = [frame12.window.with_values(e) for e in _test_subspace(frame12, 5)]
+
+        def combine(c):
+            return frame12.window.with_values(sum(ci * b.values for ci, b in zip(c, basis)))
+
+        def rayleigh(f):
+            return inner(frame_operator(f, frame12), f).real / norm(f) ** 2
+
+        rng = np.random.default_rng(17)
+        starts = rng.standard_normal((202, 5)) + 1j * rng.standard_normal((202, 5))
+        quotients = [rayleigh(combine(c)) for c in starts[:200]]
+        quotients += [rayleigh(b) for b in basis]
+        for start, shift in ((starts[200], 0.0), (starts[201], max(quotients))):
+            c = start
+            for _ in range(150):
+                f = combine(c)
+                g = frame_operator(f, frame12)
+                c = np.array([inner(g, b) - shift * inner(f, b) for b in basis])
+                c /= np.linalg.norm(c)
+                quotients.append(rayleigh(combine(c)))
+        quotients = np.array(quotients)
+        assert np.all(quotients >= lo - 1e-9)
+        assert np.all(quotients <= hi + 1e-9)
+        assert quotients.min() == pytest.approx(lo, rel=1e-3)
+        assert quotients.max() == pytest.approx(hi, rel=1e-3)
+
     def test_truncation_stability(self):
         window = normalized_gaussian_window(2)
         lo1, hi1 = frame_bounds(
