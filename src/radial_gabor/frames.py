@@ -114,10 +114,12 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
     comes from the closed-form rotation average (a confluent
     hypergeometric 0F1, see ``radial_gabor.stft``); every other window is
     integrated by phi-quadrature, and atoms on one (j, k) ring share the
-    shifted window samples.  For real windows the atom at -ell is the
-    conjugate of the one at +ell, so only half of each ring is computed.
-    Rings are independent and run on a small thread pool; results are
-    deterministic because every profile is stored by index.
+    shifted window samples.  The atoms at +ell and -ell of a ring have
+    cosines c and -c and come from one kernel evaluation, for every window
+    (``_averaged_shift_values``, ``_gaussian_shift_values``); the -ell row
+    carries the conjugate half-phase.  Rings are independent and run on a
+    small thread pool; results are deterministic because every profile is
+    stored by index.
     """
     if norm(window) == 0.0:
         raise ValueError("frame window must be nonzero")
@@ -126,9 +128,6 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
     table = lattice_table(spec)
     n_atoms = len(table)
     matrix = np.empty((n_atoms, window.radii.size), dtype=complex)
-    window_is_real = np.all(window.values.imag == 0.0) and not np.iscomplexobj(
-        window.evaluate(window.radii[:1])
-    )
 
     ring_starts = [0]
     for i in range(1, n_atoms):
@@ -145,24 +144,22 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
         if gaussian is None:
             nodes = phi_node_count(window.theta_max, r, s)
             ring = _shifted_window_samples(window, r, nodes)
-        n_ang = int(table.n_angles[start])
-        for i in range(start, stop):
-            ell = int(table.ell[i])
-            if window_is_real and ell < 0:
-                continue  # filled from the +ell conjugate below
+        mid = start + int(table.n_angles[start])  # ell = -n..n in order
+        for ell in range(stop - mid):
+            i = mid + ell
             point = OrbitPoint(r, s, float(table.c[i]))
             if gaussian is None:
-                values = _averaged_shift_values(window, point, nodes, ring=ring)
+                plus, minus = _averaged_shift_values(window, point, nodes, ring=ring)
             else:
-                values = _gaussian_shift_values(gaussian, window.radii, window.dim, point)
+                plus, minus = _gaussian_shift_values(gaussian, window.radii, window.dim, point)
             phase = complex(
                 math.cos(math.pi * point.r * point.s * point.c),
                 math.sin(math.pi * point.r * point.s * point.c),
             )
             scale = math.sqrt(table.mu[i]) if normalized else 1.0
-            matrix[i] = (scale * phase) * values
-            if window_is_real and ell > 0:
-                matrix[start + (n_ang - ell)] = np.conj(matrix[i])
+            matrix[i] = (scale * phase) * plus
+            if ell > 0:
+                matrix[mid - ell] = (scale * phase.conjugate()) * minus
 
     n_rings = len(ring_starts) - 1
     workers = worker_count()

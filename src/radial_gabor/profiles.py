@@ -138,13 +138,15 @@ class RadialProfile:
         """Evaluate at arbitrary radii: analytic form when present, else a
         not-a-knot cubic spline, and zero beyond theta_max.
 
-        The dtype follows the evaluator (real windows stay real, which the
-        quadrature kernels exploit)."""
+        The dtype follows the evaluator, and the spline is real when every
+        sample is (real windows stay real, which halves the work of the
+        quadrature kernels)."""
         theta = np.asarray(theta, dtype=float)
         if self.analytic is not None:
             return np.asarray(self.analytic(theta))
         if not self._spline:
-            self._spline.append(CubicSpline(self.radii, self.values, bc_type="not-a-knot"))
+            samples = self.values.real if not self.values.imag.any() else self.values
+            self._spline.append(CubicSpline(self.radii, samples, bc_type="not-a-knot"))
         out = self._spline[0](theta)
         return np.where(theta <= self.theta_max, out, 0.0)
 

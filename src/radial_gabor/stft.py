@@ -24,6 +24,11 @@ scaled Bessel function ``scipy.special.ive``.  ``build_frame`` uses it for
 ``GaussianSpec`` windows; ``rot_avg_shift`` and ``radial_stft`` always
 integrate, so the closed form and the quadrature check each other.
 
+Both kernels return the values at (r, s, c) and at the mirror point
+(r, s, -c) together: the mirror differs only in the sign of the odd part
+of the oscillatory factor, so ``build_frame`` fills the lattice atoms at
++ell and -ell of a ring from one evaluation.
+
 ``stft_direct_2d`` is a deliberately independent tensor-quadrature STFT in
 d = 2, used as an oracle by the tests and the acceptance suite.
 """
@@ -126,7 +131,15 @@ def _averaged_shift_values(
     point: OrbitPoint,
     quad_nodes: int,
     ring: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged shift of ``window`` at ``point`` and at its mirror (r, s, -c),
+    from one pass over the phi grid.
+
+    The two integrands share the window samples, the B_(d-1) factor and
+    cos(2 pi theta s c cos(phi)); only the sign of the sine part differs.
+    With E = (K cos) @ w and O = (K sin) @ w the values are E + iO at c and
+    E - iO at -c, for complex windows as well as real ones.
+    """
     d = window.dim
     if ring is None:
         ring = _shifted_window_samples(window, point.r, quad_nodes)
@@ -143,28 +156,29 @@ def _averaged_shift_values(
 
     prefactor = sphere_area(d - 1) / sphere_area(d)
     if s == 0.0 or c == 0.0:
-        values = prefactor * (kernel @ w_phi)
-        return values.astype(complex)
+        values = (prefactor * (kernel @ w_phi)).astype(complex)
+        return values, values
     # split the oscillatory factor into real transcendentals; complex exp
     # on large grids costs several times two real ones
     phase_arg = (2.0 * math.pi * s * c) * theta * cos_phi[None, :]
-    if np.iscomplexobj(kernel):
-        return prefactor * ((kernel * np.cos(phase_arg)) @ w_phi + 1j * ((kernel * np.sin(phase_arg)) @ w_phi))
-    re = (kernel * np.cos(phase_arg)) @ w_phi
-    im = (kernel * np.sin(phase_arg)) @ w_phi
-    return prefactor * (re + 1j * im)
+    even = (kernel * np.cos(phase_arg)) @ w_phi
+    odd = (kernel * np.sin(phase_arg)) @ w_phi
+    return prefactor * (even + 1j * odd), prefactor * (even - 1j * odd)
 
 
 def _gaussian_shift_values(
     g: GaussianSpec, radii: np.ndarray, d: int, point: OrbitPoint
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Closed form of the averaged shift of g(theta) = A exp(-alpha theta^2)
-    at ``radii``: A exp(-alpha theta^2 - alpha r^2) 0F1(; d/2; theta^2 w) with
+    at ``radii``, at ``point`` and at its mirror (r, s, -c):
+    A exp(-alpha theta^2 - alpha r^2) 0F1(; d/2; theta^2 w) with
     w = alpha^2 r^2 - pi^2 s^2 + 2 i alpha pi r s c.
 
     0F1 is evaluated as Gamma(nu+1) z^-nu ive(nu, 2z) exp(2 Re z), with
     nu = (d-2)/2 and z = theta sqrt(w).  Re sqrt(w) <= alpha r, so the
     combined exponent is at most -alpha (theta - r)^2 and nothing overflows.
+    The mirror has conj(w), and ive(nu, conj z) = conj ive(nu, z), so its
+    values are A conj(u) for the unit-amplitude values u at ``point``.
     """
     r, s, c = point.r, point.s, point.c
     alpha = g.alpha
@@ -179,7 +193,7 @@ def _gaussian_shift_values(
     zb = z[big]
     out[big] = (gamma(nu + 1.0) * zb ** (-nu) * ive(nu, 2.0 * zb)
                 * np.exp(2.0 * zb.real + exponent[big]))
-    return g.amp * out
+    return g.amp * out, g.amp * np.conj(out)
 
 
 def rot_avg_shift(
@@ -201,7 +215,7 @@ def rot_avg_shift(
             raise InsufficientQuadratureError(
                 f"quad_nodes={quad_nodes} is below the resolving minimum {required}"
             )
-    return window.with_values(_averaged_shift_values(window, point, quad_nodes))
+    return window.with_values(_averaged_shift_values(window, point, quad_nodes)[0])
 
 
 def radial_stft(f: RadialProfile, g: RadialProfile, point: OrbitPoint) -> complex:

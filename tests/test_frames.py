@@ -70,7 +70,8 @@ class TestBuildFrame:
             build_frame(zero, LatticeSpec(a=0.5, b=0.5, d=2, jk_max=2))
 
     def test_complex_window_conjugate_pairs_still_exact(self):
-        # complex windows bypass the conjugate shortcut; spot-check one ring
+        # a complex window: its -ell atom is not the conjugate of the +ell one;
+        # spot-check one ring against direct integration at -c
         window = normalized_gaussian_window(2)
         cw = window.with_values(window.values * np.exp(0.3j))
         fr = build_frame(cw, LatticeSpec(a=0.5, b=0.5, d=2, jk_max=3), normalized=True)
@@ -84,8 +85,16 @@ class TestBuildFrame:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_gaussian_closed_form_matches_quadrature(self, d):
+        self._check_closed_form_against_quadrature(d, GaussianSpec(1.3, 0.7))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gaussian_closed_form_complex_amplitude(self, d):
+        # a complex amplitude: the -ell atoms are amp conj(u), not conj(amp u)
+        self._check_closed_form_against_quadrature(d, GaussianSpec(1.3, 0.7 * np.exp(0.4j)))
+
+    @staticmethod
+    def _check_closed_form_against_quadrature(d, g):
         # the same Gaussian as a plain function takes the phi-quadrature path
-        g = GaussianSpec(1.3, 0.7)
         spec = LatticeSpec(a=0.5, b=0.5, d=d, jk_max=5)
         closed = build_frame(make_profile(d, 8.0, 1024, g), spec, normalized=True)
         quad = build_frame(make_profile(d, 8.0, 1024, lambda t: g(t)), spec, normalized=True)
@@ -96,8 +105,8 @@ class TestBuildFrame:
         assert np.all(np.max(np.abs(closed.atom_matrix - quad.atom_matrix), axis=1) <= bound)
 
     def test_non_gaussian_real_window_conjugate_rows(self):
-        # a real window without closed form: the quadrature ring path and
-        # its -ell = conj(+ell) shortcut
+        # a real window without closed form: the quadrature ring path, whose
+        # -ell atoms are the conjugates of the +ell ones
         window = make_profile(2, 8.0, 1024, lambda t: (1.0 + t**2) ** -4 * np.cos(t))
         fr = build_frame(window, LatticeSpec(a=0.5, b=0.5, d=2, jk_max=5), normalized=True)
         tab = fr.table
@@ -111,6 +120,28 @@ class TestBuildFrame:
             phase = np.exp(1j * math.pi * p.r * p.s * p.c)
             expected = math.sqrt(tab.mu[i]) * phase * rot_avg_shift(window, p).values
             assert np.max(np.abs(fr.atom_matrix[i] - expected)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_complex_window_pairs_match_direct_integration(self, d):
+        # (1+theta^2)^-4 e^(i theta) is genuinely complex, so its -ell atoms
+        # are not the conjugates of the +ell ones; rot_avg_shift integrates
+        # at -c directly and so checks the one-pass pair kernel
+        window = make_profile(d, 8.0, 1024, lambda t: (1.0 + t**2) ** -4 * np.exp(1j * t))
+        fr = build_frame(window, LatticeSpec(a=0.5, b=0.5, d=d, jk_max=5), normalized=True)
+        tab = fr.table
+        for j, k in ((1, 1), (2, 3), (4, 1)):
+            ring = np.flatnonzero((tab.j == j) & (tab.k == k))
+            for i in ring:
+                p = OrbitPoint(float(tab.r[i]), float(tab.s[i]), float(tab.c[i]))
+                phase = np.exp(1j * math.pi * p.r * p.s * p.c)
+                expected = math.sqrt(tab.mu[i]) * phase * rot_avg_shift(window, p).values
+                assert np.max(np.abs(fr.atom_matrix[i] - expected)) < 1e-12
+            n, mid = int(tab.n_angles[ring[0]]), int(ring[0] + tab.n_angles[ring[0]])
+            assert n >= 1
+            for ell in range(1, n + 1):
+                plus, minus = fr.atom_matrix[mid + ell], fr.atom_matrix[mid - ell]
+                scale = math.sqrt(tab.mu[mid + ell]) * norm(window)
+                assert np.max(np.abs(minus - np.conj(plus))) > 1e-3 * scale
 
 
 class TestAnalyzeSynthesize:

@@ -172,3 +172,42 @@ class TestCsvRoundTrip:
         path.write_text("0.1,1.0,0.0\n")
         with pytest.raises(ValueError):
             profile_from_csv(path, 2)
+
+
+class TestSplineDtype:
+    """Profiles without an analytic evaluator go through a cubic spline,
+    which must be real exactly when every sample is."""
+
+    theta = np.linspace(0.0, 6.5, 397)  # off-grid, and past theta_max = 6
+
+    @staticmethod
+    def samples():
+        p = make_profile(2, 6.0, 256, lambda t: (1.0 + t**2) ** -4 * np.cos(t))
+        return p, p.values.real.copy()
+
+    def test_real_samples_evaluate_real(self):
+        p, real = self.samples()
+        out = p.with_values(real).evaluate(self.theta)
+        assert not np.iscomplexobj(out)
+        # the spline is linear in the samples, so the real part of a
+        # complex-sample spline is the real-sample spline
+        complex_out = p.with_values(real + 1j * np.sin(p.radii)).evaluate(self.theta)
+        assert np.max(np.abs(out - complex_out.real)) <= 1e-15
+        assert np.all(out[self.theta > 6.0] == 0.0)
+
+    def test_any_imaginary_sample_stays_complex(self):
+        p, real = self.samples()
+        values = real.astype(complex)
+        values[100] += 1e-30j
+        out = p.with_values(values).evaluate(self.theta)
+        assert np.iscomplexobj(out)
+        assert np.any(out.imag != 0.0)
+
+    def test_csv_round_trip_of_real_window_evaluates_real(self, tmp_path):
+        p, _ = self.samples()
+        path = tmp_path / "window.csv"
+        profile_to_csv(p, path)
+        q = profile_from_csv(path, 2)
+        out = q.evaluate(self.theta)
+        assert not np.iscomplexobj(out)
+        assert np.max(np.abs(out - p.evaluate(self.theta).real)) < 1e-4

@@ -136,11 +136,12 @@ class TestRotAvgShift:
         # the scaled evaluation from overflowing
         g = GaussianSpec(math.pi, 2.0 ** (d / 4.0))
         radii = np.linspace(0.0, 60.0, 1201)
+        envelope = g.amp * np.exp(-g.alpha * (radii - 40.0) ** 2)
         for c in (-1.0, 0.0, 0.3, 1.0):
-            values = _gaussian_shift_values(g, radii, d, OrbitPoint(40.0, 40.0, c))
-            assert np.all(np.isfinite(values))
-            envelope = g.amp * np.exp(-g.alpha * (radii - 40.0) ** 2)
-            assert np.all(np.abs(values) <= envelope * (1.0 + 1e-12) + 1e-300)
+            # the values at c and at the mirror -c
+            for values in _gaussian_shift_values(g, radii, d, OrbitPoint(40.0, 40.0, c)):
+                assert np.all(np.isfinite(values))
+                assert np.all(np.abs(values) <= envelope * (1.0 + 1e-12) + 1e-300)
 
 
 class TestRadialStft:
