@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingQuery, approx_number_exponent, fit_decay_slope, h_sequence
-from .frames import CoeffSeq, FrameSystem, ReconstructionResult, reconstruct
+from .frames import CoeffSeq, FrameSystem, ReconstructionResult, _l2_error, reconstruct
 from .profiles import GaussianSpec, RadialProfile, norm, sphere_area
 from .stft import _gl_on
 
@@ -44,23 +44,17 @@ class ApproxReport:
 def _dual_setup(
     f: RadialProfile, fr: FrameSystem, tol: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, ReconstructionResult]:
-    """Dual coefficients on the cached atoms plus the matching coefficients
-    for the unnormalized atom family."""
+    """Dual coefficients on the cached atoms (in table-row order) plus the
+    matching coefficients for the unnormalized atom family."""
     res = reconstruct(f, fr, tol=tol, max_iter=max_iter)
-    gamma = np.array(
-        [res.coefficients.entries[idx] for idx in _index_order(fr)], dtype=complex
-    )
+    gamma = res.coefficients.values
     lam = gamma * np.sqrt(fr.table.mu) if fr.normalized else gamma.copy()
     return gamma, lam, res
 
 
-def _index_order(fr: FrameSystem):
-    from .lattice import LatticeIndex
-
-    return [
-        LatticeIndex(int(j), int(k), int(ell))
-        for j, k, ell in zip(fr.table.j, fr.table.k, fr.table.ell)
-    ]
+def _check_n(n: int, fr: FrameSystem) -> None:
+    if n < 0 or n > len(fr):
+        raise ValueError("n must lie in [0, number of atoms]")
 
 
 def _target_weights(fr: FrameSystem, q_exp: float, t_exp: float) -> np.ndarray:
@@ -68,12 +62,6 @@ def _target_weights(fr: FrameSystem, q_exp: float, t_exp: float) -> np.ndarray:
     inv_q = 0.0 if q_exp == math.inf else 1.0 / q_exp
     k = fr.table.k.astype(float)
     return (1.0 + fr.spec.b * k) ** t_exp * fr.table.mu ** (inv_q - 1.0)
-
-
-def _residual_l2(fr: FrameSystem, gamma_kept: np.ndarray, f: RadialProfile) -> float:
-    diff = fr._synthesize_values(gamma_kept) - f.values
-    area = sphere_area(fr.window.dim)
-    return math.sqrt(max(0.0, float(np.sum(fr.window.weights * np.abs(diff) ** 2).real) * area))
 
 
 def _coefficient_tail(lam: np.ndarray, weights: np.ndarray, dropped: np.ndarray, q_exp: float) -> float:
@@ -102,22 +90,22 @@ def linear_approx(
     """
     if query.d != fr.spec.d:
         raise ValueError("query dimension does not match the frame")
+    n_values = sorted(int(n) for n in n_list)
+    for n in n_values:
+        _check_n(n, fr)
     gamma, lam, _ = _dual_setup(f, fr, tol, max_iter)
     h = h_sequence(fr.table, query, fr.spec.b)
     order = np.lexsort((fr.table.ell, fr.table.k, fr.table.j, -h))
     weights = _target_weights(fr, query.q, query.t)
     direct_l2 = query.q == 2 and query.t == 0
 
-    n_values = sorted(int(n) for n in n_list)
     errors = []
     for n in n_values:
-        if n < 0 or n > len(fr):
-            raise ValueError("n must lie in [0, number of atoms]")
         kept = order[:n]
         if direct_l2:
             gk = np.zeros_like(gamma)
             gk[kept] = gamma[kept]
-            errors.append(_residual_l2(fr, gk, f))
+            errors.append(_l2_error(fr, gk, f))
         else:
             dropped = order[n:]
             errors.append(_coefficient_tail(lam, weights, dropped, query.q))
@@ -151,9 +139,24 @@ def nterm_greedy(
     when the truncated system is redundant, because minimal-norm dual
     coefficients spread over dependent atoms.
     """
-    if n < 0 or n > len(fr):
-        raise ValueError("n must lie in [0, number of atoms]")
+    _check_n(n, fr)
     gamma, lam, _ = _dual_setup(f, fr, tol, max_iter)
+    return _nterm_from_dual(f, fr, gamma, lam, n, q_exp, t_exp, refit)
+
+
+def _nterm_from_dual(
+    f: RadialProfile,
+    fr: FrameSystem,
+    gamma: np.ndarray,
+    lam: np.ndarray,
+    n: int,
+    q_exp: float,
+    t_exp: float,
+    refit: bool = False,
+) -> tuple[CoeffSeq, float]:
+    """``nterm_greedy`` on dual coefficients already solved for f, so that
+    one solve serves every n."""
+    _check_n(n, fr)
     weights = _target_weights(fr, q_exp, t_exp)
     scores = np.abs(lam) * weights
     order = np.lexsort((fr.table.ell, fr.table.k, fr.table.j, -scores))
@@ -166,10 +169,9 @@ def nterm_greedy(
         basis = fr.atom_matrix[kept] * sw[None, :]
         sol, *_ = np.linalg.lstsq(basis.T, f.values * sw, rcond=None)
         gk[kept] = sol
-    indices = _index_order(fr)
-    seq = CoeffSeq({indices[i]: complex(gk[i]) for i in kept})
+    seq = CoeffSeq(table=fr.table, rows=kept, values=gk[kept])
     if q_exp == 2 and t_exp == 0:
-        err = _residual_l2(fr, gk, f)
+        err = _l2_error(fr, gk, f)
     else:
         err = _coefficient_tail(lam, weights, order[n:], q_exp)
     return seq, err
@@ -246,15 +248,13 @@ def gabor_baseline_2d(
     """
     coeffs, xs, ws = standard_gabor_coefficients(f, g, a, b, box)
     flat = np.abs(coeffs).ravel()
-    order = np.argsort(-flat, kind="stable")
 
     n_values = sorted(int(n) for n in n_list)
     if n_values and n_values[-1] > flat.size:
         raise ValueError("n exceeds the truncated lattice size")
     max_n = n_values[-1] if n_values else 0
 
-    shape = coeffs.shape
-    sel = np.array([np.unravel_index(int(order[i]), shape) for i in range(max_n)], dtype=int)
+    sel = np.stack(np.unravel_index(_top_n(flat, max_n), coeffs.shape), axis=1)
 
     f1 = _gaussian_1d_factor(f)
     g1 = _gaussian_1d_factor(g)
@@ -296,6 +296,17 @@ def gabor_baseline_2d(
     fit_es = [e for n, e in zip(n_values, errors) if n > 0 and e > 1e-10]
     slope, _ = fit_decay_slope(fit_ns, fit_es)
     return ApproxReport(tuple(n_values), tuple(errors), slope, math.nan)
+
+
+def _top_n(values: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n largest values, equal to
+    ``np.argsort(-values, kind="stable")[:n]`` (ties in index order)
+    without sorting the whole array."""
+    if n == 0:
+        return np.zeros(0, dtype=int)
+    kth = np.partition(values, values.size - n)[values.size - n]
+    cand = np.flatnonzero(values >= kth)
+    return cand[np.argsort(-values[cand], kind="stable")][:n]
 
 
 def count_above(values, eps: float) -> int:

@@ -22,7 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .approximation import gabor_baseline_2d, linear_approx, nterm_greedy
+from .approximation import (
+    _dual_setup,
+    _nterm_from_dual,
+    gabor_baseline_2d,
+    linear_approx,
+    nterm_greedy,  # unused here; looked up on this module by code that drives its functions
+)
 from .embeddings import (
     EmbeddingQuery,
     approx_number_exponent,
@@ -203,13 +209,13 @@ def _cmd_approx(args) -> int:
         radial_errors = list(report.errors)
         slope = report.fitted_slope
     else:
+        gamma, lam, _ = _dual_setup(target, fr, args.tol, args.max_iter)
         radial_errors = [
-            nterm_greedy(target, fr, n, args.q, args.t, tol=args.tol, max_iter=args.max_iter)[1]
-            for n in n_list
+            _nterm_from_dual(target, fr, gamma, lam, n, args.q, args.t)[1] for n in sorted(n_list)
         ]
         from .embeddings import fit_decay_slope
 
-        keep = [(n, e) for n, e in zip(n_list, radial_errors) if n > 0 and e > 1e-10]
+        keep = [(n, e) for n, e in zip(sorted(n_list), radial_errors) if n > 0 and e > 1e-10]
         slope, _ = fit_decay_slope([n for n, _ in keep], [e for _, e in keep])
 
     baseline_errors = [math.nan] * len(n_list)

@@ -63,14 +63,40 @@ def worker_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-@dataclass(frozen=True)
 class CoeffSeq:
-    """Sparse coefficient sequence keyed by lattice index."""
+    """Coefficient sequence on lattice atoms: ``values[i]`` belongs to row
+    ``rows[i]`` of ``table``.  ``entries``, the same sequence keyed by
+    ``LatticeIndex``, is built on first access.
 
-    entries: dict[LatticeIndex, complex]
+    ``CoeffSeq(entries)`` wraps a dict keyed by ``LatticeIndex`` instead;
+    ``synthesize`` places it on the rows of the frame's lattice.
+    """
+
+    def __init__(
+        self,
+        entries: dict[LatticeIndex, complex] | None = None,
+        *,
+        table: LatticeTable | None = None,
+        rows: np.ndarray | None = None,
+        values: np.ndarray | None = None,
+    ) -> None:
+        if (entries is None) == (table is None):
+            raise TypeError("CoeffSeq takes either entries or table, rows and values")
+        self.table = table
+        self.rows = None if rows is None else np.asarray(rows)
+        self.values = None if values is None else np.asarray(values, dtype=complex)
+        self._entries = None if entries is None else dict(entries)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries) if self.table is None else self.rows.size
+
+    @property
+    def entries(self) -> dict[LatticeIndex, complex]:
+        if self._entries is None:
+            t, rows = self.table, self.rows
+            keys = map(LatticeIndex, t.j[rows].tolist(), t.k[rows].tolist(), t.ell[rows].tolist())
+            self._entries = dict(zip(keys, self.values.tolist()))
+        return self._entries
 
 
 @dataclass(frozen=True)
@@ -100,8 +126,9 @@ class FrameSystem:
         return area * np.sum(self.window.weights * np.abs(self.atom_matrix) ** 2, axis=1).real
 
     def _analyze_values(self, values: np.ndarray) -> np.ndarray:
+        # conj(A) x = conj(A conj(x)) without a conjugated copy of A
         area = sphere_area(self.window.dim)
-        return area * (np.conj(self.atom_matrix) @ (self.window.weights * values))
+        return area * np.conj(self.atom_matrix @ np.conj(self.window.weights * values))
 
     def _synthesize_values(self, coeffs: np.ndarray) -> np.ndarray:
         return self.atom_matrix.T @ coeffs
@@ -172,37 +199,30 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
     return FrameSystem(window=window, spec=spec, table=table, atom_matrix=matrix, normalized=normalized)
 
 
-def _coeff_vector(fr: FrameSystem, coeffs: CoeffSeq) -> np.ndarray:
-    lookup = {
-        (int(j), int(k), int(ell)): i
-        for i, (j, k, ell) in enumerate(zip(fr.table.j, fr.table.k, fr.table.ell))
-    }
-    vec = np.zeros(len(fr), dtype=complex)
-    for idx, value in coeffs.entries.items():
-        key = (idx.j, idx.k, idx.ell)
-        if key not in lookup:
-            raise KeyError(f"coefficient index {key} is not in the frame lattice")
-        vec[lookup[key]] = value
-    return vec
-
-
-def _coeff_seq(fr: FrameSystem, vec: np.ndarray) -> CoeffSeq:
-    entries = {
-        LatticeIndex(int(j), int(k), int(ell)): complex(v)
-        for j, k, ell, v in zip(fr.table.j, fr.table.k, fr.table.ell, vec)
-    }
-    return CoeffSeq(entries)
-
-
 def analyze(f: RadialProfile, fr: FrameSystem) -> CoeffSeq:
     """Frame coefficients <f, atom_i> for every cached atom."""
     _check_grid(f, fr)
-    return _coeff_seq(fr, fr._analyze_values(f.values))
+    return _all_rows(fr, fr._analyze_values(f.values))
 
 
 def synthesize(coeffs: CoeffSeq, fr: FrameSystem) -> RadialProfile:
     """Linear combination of cached atom profiles."""
-    return fr.window.with_values(fr._synthesize_values(_coeff_vector(fr, coeffs)))
+    vec = np.zeros(len(fr), dtype=complex)
+    if coeffs.table is not None and coeffs.table.spec == fr.spec:
+        vec[coeffs.rows] = coeffs.values
+    else:
+        t = fr.table
+        row_of = {key: i for i, key in enumerate(zip(t.j.tolist(), t.k.tolist(), t.ell.tolist()))}
+        for idx, value in coeffs.entries.items():
+            key = (idx.j, idx.k, idx.ell)
+            if key not in row_of:
+                raise KeyError(f"coefficient index {key} is not in the frame lattice")
+            vec[row_of[key]] = value
+    return fr.window.with_values(fr._synthesize_values(vec))
+
+
+def _all_rows(fr: FrameSystem, values: np.ndarray) -> CoeffSeq:
+    return CoeffSeq(table=fr.table, rows=np.arange(len(fr)), values=values)
 
 
 def frame_operator(f: RadialProfile, fr: FrameSystem) -> RadialProfile:
@@ -256,12 +276,11 @@ def reconstruct(
     f_norm = norm(f)
     if f_norm == 0.0:
         zero = fr.window.with_values(np.zeros_like(f.values))
-        return ReconstructionResult(zero, 0.0, True, 0, _coeff_seq(fr, np.zeros(len(fr), dtype=complex)), np.zeros(0))
+        return ReconstructionResult(zero, 0.0, True, 0, _all_rows(fr, np.zeros(len(fr))), np.zeros(0))
 
     b = fr._analyze_values(f.values)
-    gram = lambda v: fr._analyze_values(fr._synthesize_values(v))
-
     gamma = np.zeros_like(b)
+    synth_gamma = np.zeros(f.values.shape, dtype=complex)  # T gamma, kept up to date
     r = b.copy()
     p = r.copy()
     rr = np.vdot(r, r).real
@@ -269,14 +288,16 @@ def reconstruct(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        gp = gram(p)
+        synth_p = fr._synthesize_values(p)
+        gp = fr._analyze_values(synth_p)
         denom = np.vdot(p, gp).real
         if denom <= 0.0:
             break
         alpha = rr / denom
         gamma = gamma + alpha * p
+        synth_gamma = synth_gamma + alpha * synth_p
         r = r - alpha * gp
-        history.append(_l2_error(fr, gamma, f) / f_norm)
+        history.append(_l2_norm(fr, synth_gamma - f.values) / f_norm)
         if history[-1] <= tol:
             converged = True
             break
@@ -288,14 +309,18 @@ def reconstruct(
 
     recon_values = fr._synthesize_values(gamma)
     recon = fr.window.with_values(recon_values)
-    rel_err = _l2_error(fr, gamma, f) / f_norm
-    return ReconstructionResult(recon, rel_err, converged, iterations, _coeff_seq(fr, gamma), np.asarray(history))
+    rel_err = _l2_norm(fr, recon_values - f.values) / f_norm
+    return ReconstructionResult(recon, rel_err, converged, iterations, _all_rows(fr, gamma), np.asarray(history))
+
+
+def _l2_norm(fr: FrameSystem, values: np.ndarray) -> float:
+    area = sphere_area(fr.window.dim)
+    return math.sqrt(max(0.0, (area * np.sum(fr.window.weights * np.abs(values) ** 2)).real))
 
 
 def _l2_error(fr: FrameSystem, gamma: np.ndarray, f: RadialProfile) -> float:
-    diff = fr._synthesize_values(gamma) - f.values
-    area = sphere_area(fr.window.dim)
-    return math.sqrt(max(0.0, (area * np.sum(fr.window.weights * np.abs(diff) ** 2)).real))
+    """L2 distance between the synthesis of ``gamma`` and f."""
+    return _l2_norm(fr, fr._synthesize_values(gamma) - f.values)
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +393,14 @@ def coeffs_to_csv(coeffs: CoeffSeq, path: str | Path) -> None:
     """Write coefficients as CSV with columns j,k,ell,re,im in
     lexicographic index order."""
     lines = ["j,k,ell,re,im"]
-    for idx in sorted(coeffs.entries, key=lambda i: (i.j, i.k, i.ell)):
-        v = coeffs.entries[idx]
-        lines.append(f"{idx.j},{idx.k},{idx.ell},{v.real:.17g},{v.imag:.17g}")
+    if coeffs.table is None:
+        items = sorted(((i.j, i.k, i.ell), complex(v)) for i, v in coeffs.entries.items())
+    else:
+        t, rows = coeffs.table, coeffs.rows
+        order = np.argsort(rows)  # table rows are in lexicographic index order
+        rows = rows[order]
+        keys = zip(t.j[rows].tolist(), t.k[rows].tolist(), t.ell[rows].tolist())
+        items = zip(keys, coeffs.values[order].tolist())
+    for (j, k, ell), v in items:
+        lines.append(f"{j},{k},{ell},{v.real:.17g},{v.imag:.17g}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -71,6 +71,20 @@ class TestLinearApprox:
         with pytest.raises(ValueError):
             linear_approx(target, frame10, EmbeddingQuery(1, 2, 0, 0, 3), [1])
 
+    @pytest.mark.parametrize("bad", [-1, "len+1"])
+    def test_out_of_range_n_rejected_before_solve(self, frame10, target, monkeypatch, bad):
+        from radial_gabor import approximation
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the dual was solved before n was checked")
+
+        monkeypatch.setattr(approximation, "reconstruct", no_solve)
+        n = len(frame10) + 1 if bad == "len+1" else bad
+        with pytest.raises(ValueError):
+            linear_approx(target, frame10, QUERY, [0, 4, n], tol=TOL, max_iter=MAX_ITER)
+        with pytest.raises(ValueError):
+            nterm_greedy(target, frame10, n, 2, 0, tol=TOL, max_iter=MAX_ITER)
+
     def test_weighted_norm_route(self, frame10, target):
         q = EmbeddingQuery(1, 4, 0, -0.5, 2)
         rep = linear_approx(target, frame10, q, [0, 4, 16, 64], tol=TOL, max_iter=MAX_ITER)
@@ -204,6 +218,17 @@ class TestGaborBaseline:
     def test_errors_non_increasing(self):
         rep = gabor_baseline_2d(self.F, self.G, 0.5, 0.5, [0, 1, 2, 4, 8, 16, 32, 64])
         assert np.all(np.diff(rep.errors) <= 1e-10)
+
+    def test_selection_is_stable_argsort_prefix(self):
+        # radial Gaussians give many exactly tied coefficient magnitudes
+        from radial_gabor.approximation import _top_n
+
+        coeffs, _, _ = standard_gabor_coefficients(self.F, self.G, 0.5, 0.5)
+        flat = np.abs(coeffs).ravel()
+        full = np.argsort(-flat, kind="stable")
+        assert np.unique(flat[full[:64]]).size < 64
+        for n in (0, 1, 2, 4, 8, 16, 32, 64):
+            assert np.array_equal(_top_n(flat, n), full[:n])
 
     def test_errors_eventually_small(self):
         rep = gabor_baseline_2d(self.F, self.G, 0.5, 0.5, [128])

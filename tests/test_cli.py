@@ -150,6 +150,25 @@ class TestApprox:
         assert all(b <= a + 1e-12 for a, b in zip(radial, radial[1:]))
         assert all(b <= a + 1e-10 for a, b in zip(baseline, baseline[1:]))
 
+    def test_nterm_rows_follow_sorted_n(self, tmp_path, capsys):
+        # one dual solve serves every n; each row must carry the error that
+        # nterm_greedy reports for its own n, whatever the order of --n-list
+        from radial_gabor.approximation import nterm_greedy
+        from radial_gabor.cli import _window_profile
+        from radial_gabor.frames import build_frame
+        from radial_gabor.lattice import LatticeSpec
+
+        argv = ["approx", "--d", "2", "--J", "5", "--n-points", "512", "--no-baseline"]
+        assert run(argv + ["--n-list", "8,1,4", "--out", str(tmp_path / "a")]) == 0
+        assert run(argv + ["--n-list", "1,4,8", "--out", str(tmp_path / "b")]) == 0
+        text = (tmp_path / "a" / "approx.csv").read_text()
+        assert text == (tmp_path / "b" / "approx.csv").read_text()
+        fr = build_frame(_window_profile("normalized", 2, 8.0, 512), LatticeSpec(0.5, 0.5, 2, 5))
+        target = _window_profile("gauss2", 2, 8.0, 512)
+        for line in text.splitlines()[1:]:
+            n, err = line.split(",")[:2]
+            assert float(err) == nterm_greedy(target, fr, int(n), 2.0, 0.0)[1]
+
     def test_oversized_n_rejected(self, tmp_path, capsys):
         code = run(
             ["approx", "--d", "2", "--J", "2", "--n-list", "0,500", "--out", str(tmp_path)]

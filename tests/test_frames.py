@@ -269,6 +269,26 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(frame8.window, frame8, tol=0.0)
 
+    @pytest.mark.parametrize("d,window,target", [(2, "normalized", "gauss2"), (3, "gauss", "gauss2")])
+    def test_error_history_matches_direct_recomputation(self, d, window, target):
+        # the loop tracks T gamma by updates; the k-th entry must agree with
+        # the L2 error of the k-th iterate recomputed from its coefficients,
+        # and so stop at the same iteration as a direct-error criterion
+        from radial_gabor.cli import _window_profile
+        from radial_gabor.frames import _l2_error
+
+        tol = 1e-4
+        fr = build_frame(_window_profile(window, d, 8.0, 1024), LatticeSpec(a=0.5, b=0.5, d=d, jk_max=8))
+        f = _window_profile(target, d, 8.0, 1024)
+        res = reconstruct(f, fr, tol=tol, max_iter=2000)
+        direct = np.array([
+            _l2_error(fr, reconstruct(f, fr, tol=tol, max_iter=k).coefficients.values, f) / norm(f)
+            for k in range(1, res.iterations + 1)
+        ])
+        np.testing.assert_allclose(res.error_history, direct, rtol=1e-12, atol=0.0)
+        assert res.converged
+        assert int(np.argmax(direct <= tol)) + 1 == res.iterations
+
 
 class TestFrameBounds:
     def test_reference_configuration(self, frame12):
@@ -395,3 +415,21 @@ class TestCoeffCsv:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "j,k,ell,re,im"
         assert len(lines) - 1 == len(frame8)
+
+    @pytest.mark.parametrize("subset", [False, True], ids=["all-rows", "unsorted-subset"])
+    def test_array_backed_matches_dict(self, frame8, tmp_path, subset):
+        f = make_profile(2, 8.0, 1024, GaussianSpec(2.0 * math.pi))
+        values = reconstruct(f, frame8, tol=1e-6).coefficients.values
+        tab = frame8.table
+        rows = np.random.default_rng(5).permutation(len(frame8))[:17] if subset else np.arange(len(frame8))
+        array_seq = CoeffSeq(table=tab, rows=rows, values=values[rows])
+        dict_seq = CoeffSeq({
+            LatticeIndex(int(tab.j[i]), int(tab.k[i]), int(tab.ell[i])): complex(values[i]) for i in rows
+        })
+        assert len(array_seq) == len(dict_seq) == rows.size
+        assert array_seq.entries == dict_seq.entries
+        assert list(array_seq.entries) == list(dict_seq.entries)
+        coeffs_to_csv(array_seq, tmp_path / "array.csv")
+        coeffs_to_csv(dict_seq, tmp_path / "dict.csv")
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "dict.csv").read_bytes()
+        assert np.array_equal(synthesize(array_seq, frame8).values, synthesize(dict_seq, frame8).values)
