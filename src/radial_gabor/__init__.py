@@ -44,12 +44,10 @@ from .frames import (
     synthesize,
 )
 from .lattice import (
-    LatticeAtom,
     LatticeIndex,
     LatticeSpec,
     LatticeTable,
     angle_count,
-    build_lattice,
     covered_2d,
     index_count,
     lattice_table,

@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +32,11 @@ from .embeddings import (
     approx_number_exponent,
     classify_embedding,
     entropy_exponent,
+    fit_decay_slope,
 )
 from .frames import build_frame, coeffs_to_csv, reconstruct
-from .lattice import LatticeSpec, covered_2d, index_count, lattice_table
-from .profiles import GaussianSpec, RadialProfile, make_profile
+from .lattice import LatticeSpec, covered_2d, index_count, lattice_table, lattice_to_csv
+from .profiles import GaussianSpec, RadialProfile, _write_text, make_profile, profile_to_csv
 from .stft import OrbitPoint, radial_stft, rot_avg_shift
 
 WINDOWS = {
@@ -57,18 +56,6 @@ class _Parser(argparse.ArgumentParser):
 
 class NonConvergence(RuntimeError):
     pass
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _fmt(x: float) -> str:
@@ -102,14 +89,7 @@ def _cmd_lattice(args) -> int:
     spec = LatticeSpec(a=args.a, b=args.b, d=args.d, jk_max=args.J)
     table = lattice_table(spec)
     out = Path(args.out) / "lattice.csv"
-    lines = ["j,k,ell,r,s,c,mu"]
-    for j, k, ell, r, s, c, mu in zip(
-        table.j, table.k, table.ell, table.r, table.s, table.c, table.mu
-    ):
-        lines.append(
-            f"{int(j)},{int(k)},{int(ell)},{_fmt(r)},{_fmt(s)},{_fmt(c)},{_fmt(mu)}"
-        )
-    _atomic_write(out, "\n".join(lines) + "\n")
+    lattice_to_csv(table, out)
     print(f"wrote {out} ({len(table)} atoms; index_count({args.J}) = {index_count(args.J)})")
     return 0
 
@@ -117,12 +97,8 @@ def _cmd_lattice(args) -> int:
 def _cmd_omega(args) -> int:
     window = _window_profile(args.window, args.d, args.theta_max, args.n_points)
     point = OrbitPoint(args.r, args.s, args.c)
-    result = rot_avg_shift(window, point, quad_nodes=args.quad_nodes)
     out = Path(args.out) / "omega.csv"
-    lines = ["theta,re,im"]
-    for t, v in zip(result.radii, result.values):
-        lines.append(f"{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)}")
-    _atomic_write(out, "\n".join(lines) + "\n")
+    profile_to_csv(rot_avg_shift(window, point, quad_nodes=args.quad_nodes), out)
     print(f"wrote {out}")
     return 0
 
@@ -139,7 +115,7 @@ def _cmd_stft(args) -> int:
                     f"{_fmt(r)},{_fmt(s)},{_fmt(c)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
                 )
     out = Path(args.out) / "stft.csv"
-    _atomic_write(out, "\n".join(rows) + "\n")
+    _write_text(out, "\n".join(rows) + "\n")
     print(f"wrote {out}")
     return 0
 
@@ -158,7 +134,7 @@ def _cmd_frame(args) -> int:
         "converged": res.converged,
         "iterations": res.iterations,
     }
-    _atomic_write(out_dir / "frame_summary.json", _json_text(summary))
+    _write_text(out_dir / "frame_summary.json", _json_text(summary))
     print(f"wrote {out_dir/'frame_coeffs.csv'} and frame_summary.json: {summary}")
     if not res.converged:
         raise NonConvergence(
@@ -189,7 +165,7 @@ def _cmd_embed(args) -> int:
         "approx_decay": approx,
     }
     text = _json_text(payload)
-    _atomic_write(Path(args.out) / "embed.json", text)
+    _write_text(Path(args.out) / "embed.json", text)
     sys.stdout.write(text)
     return 0
 
@@ -213,8 +189,6 @@ def _cmd_approx(args) -> int:
         radial_errors = [
             _nterm_from_dual(target, fr, gamma, lam, n, args.q, args.t)[1] for n in sorted(n_list)
         ]
-        from .embeddings import fit_decay_slope
-
         keep = [(n, e) for n, e in zip(sorted(n_list), radial_errors) if n > 0 and e > 1e-10]
         slope, _ = fit_decay_slope([n for n, _ in keep], [e for _, e in keep])
 
@@ -222,16 +196,14 @@ def _cmd_approx(args) -> int:
     if args.baseline:
         if args.d != 2:
             raise ValueError("parameter baseline: the standard-lattice baseline requires d = 2")
-        f_eval = _window_profile(args.target, 2, args.theta_max, args.n_points).analytic
-        g_eval = _window_profile(args.window, 2, args.theta_max, args.n_points).analytic
-        rep_b = gabor_baseline_2d(f_eval, g_eval, args.a, args.b, n_list)
+        rep_b = gabor_baseline_2d(target.analytic, window.analytic, args.a, args.b, n_list)
         baseline_errors = list(rep_b.errors)
 
     rows = ["n,radial_error,baseline_error,slope_fit"]
     for n, re_, be in zip(sorted(n_list), radial_errors, baseline_errors):
         rows.append(f"{n},{_fmt(re_)},{_fmt(be)},{_fmt(slope)}")
     out = Path(args.out) / "approx.csv"
-    _atomic_write(out, "\n".join(rows) + "\n")
+    _write_text(out, "\n".join(rows) + "\n")
     print(f"wrote {out}")
     return 0
 
@@ -252,7 +224,7 @@ def _cmd_covering(args) -> int:
         "seed": args.seed,
     }
     text = _json_text(payload)
-    _atomic_write(Path(args.out) / "covering.json", text)
+    _write_text(Path(args.out) / "covering.json", text)
     sys.stdout.write(text)
     return 0
 

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import LatticeAtom, LatticeTable
+from .lattice import LatticeTable
 from .profiles import sphere_area
 
 __all__ = [
@@ -102,7 +102,7 @@ def classify_embedding(query: EmbeddingQuery) -> EmbeddingVerdict:
 
 
 def h_sequence(
-    lat: LatticeTable | list[LatticeAtom],
+    lat: LatticeTable,
     query: EmbeddingQuery,
     b_step: float,
 ) -> np.ndarray:
@@ -111,13 +111,7 @@ def h_sequence(
     alpha = float(_inv(query.p) - _inv(query.q))
     if alpha < 0.0:
         raise ValueError("h_sequence requires p <= q")
-    if isinstance(lat, LatticeTable):
-        k = lat.k.astype(float)
-        mu = lat.mu
-    else:
-        k = np.array([a.index.k for a in lat], dtype=float)
-        mu = np.array([a.mu for a in lat])
-    return (1.0 + b_step * k) ** (query.t - query.s) * mu ** (-alpha)
+    return (1.0 + b_step * lat.k.astype(float)) ** (query.t - query.s) * lat.mu ** (-alpha)
 
 
 def rearrange(v) -> np.ndarray:

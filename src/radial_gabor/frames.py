@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .lattice import LatticeAtom, LatticeIndex, LatticeSpec, LatticeTable, lattice_table
-from .profiles import GaussianSpec, RadialProfile, norm, sphere_area
+from .lattice import LatticeIndex, LatticeSpec, LatticeTable, lattice_table
+from .profiles import GaussianSpec, RadialProfile, _write_text, norm, sphere_area
 from .stft import (
     OrbitPoint,
     _averaged_shift_values,
@@ -66,29 +66,26 @@ def worker_count() -> int:
 class CoeffSeq:
     """Coefficient sequence on lattice atoms: ``values[i]`` belongs to row
     ``rows[i]`` of ``table``.  ``entries``, the same sequence keyed by
-    ``LatticeIndex``, is built on first access.
+    ``LatticeIndex``, is built on first access."""
 
-    ``CoeffSeq(entries)`` wraps a dict keyed by ``LatticeIndex`` instead;
-    ``synthesize`` places it on the rows of the frame's lattice.
-    """
-
-    def __init__(
-        self,
-        entries: dict[LatticeIndex, complex] | None = None,
-        *,
-        table: LatticeTable | None = None,
-        rows: np.ndarray | None = None,
-        values: np.ndarray | None = None,
-    ) -> None:
-        if (entries is None) == (table is None):
-            raise TypeError("CoeffSeq takes either entries or table, rows and values")
+    def __init__(self, table: LatticeTable, rows: np.ndarray, values: np.ndarray) -> None:
+        rows = np.asarray(rows)
+        values = np.asarray(values, dtype=complex)
+        if rows.ndim != 1 or values.ndim != 1 or rows.size != values.size:
+            raise ValueError("rows and values must be 1-d arrays of equal length")
+        if rows.size:
+            ordered = np.sort(rows)
+            if rows.dtype.kind not in "iu" or ordered[0] < 0 or ordered[-1] >= len(table):
+                raise ValueError(f"rows must index the {len(table)} rows of the lattice table")
+            if np.any(ordered[1:] == ordered[:-1]):
+                raise ValueError("rows must not repeat")
         self.table = table
-        self.rows = None if rows is None else np.asarray(rows)
-        self.values = None if values is None else np.asarray(values, dtype=complex)
-        self._entries = None if entries is None else dict(entries)
+        self.rows = rows.astype(int, copy=False)
+        self.values = values
+        self._entries: dict[LatticeIndex, complex] | None = None
 
     def __len__(self) -> int:
-        return len(self._entries) if self.table is None else self.rows.size
+        return self.rows.size
 
     @property
     def entries(self) -> dict[LatticeIndex, complex]:
@@ -106,17 +103,6 @@ class FrameSystem:
     table: LatticeTable
     atom_matrix: np.ndarray  # (n_atoms, n_grid) cached atom profiles
     normalized: bool
-    _atoms: list = field(default_factory=list, repr=False, compare=False)
-
-    @property
-    def atoms(self) -> list[LatticeAtom]:
-        if not self._atoms:
-            self._atoms.extend(self.table.atoms())
-        return self._atoms
-
-    @property
-    def atom_profiles(self) -> list[RadialProfile]:
-        return [self.window.with_values(row) for row in self.atom_matrix]
 
     def __len__(self) -> int:
         return self.atom_matrix.shape[0]
@@ -206,18 +192,12 @@ def analyze(f: RadialProfile, fr: FrameSystem) -> CoeffSeq:
 
 
 def synthesize(coeffs: CoeffSeq, fr: FrameSystem) -> RadialProfile:
-    """Linear combination of cached atom profiles."""
+    """Linear combination of cached atom profiles; the coefficients must
+    live on the frame's lattice."""
+    if coeffs.table.spec != fr.spec:
+        raise ValueError("coefficients live on a different lattice than the frame")
     vec = np.zeros(len(fr), dtype=complex)
-    if coeffs.table is not None and coeffs.table.spec == fr.spec:
-        vec[coeffs.rows] = coeffs.values
-    else:
-        t = fr.table
-        row_of = {key: i for i, key in enumerate(zip(t.j.tolist(), t.k.tolist(), t.ell.tolist()))}
-        for idx, value in coeffs.entries.items():
-            key = (idx.j, idx.k, idx.ell)
-            if key not in row_of:
-                raise KeyError(f"coefficient index {key} is not in the frame lattice")
-            vec[row_of[key]] = value
+    vec[coeffs.rows] = coeffs.values
     return fr.window.with_values(fr._synthesize_values(vec))
 
 
@@ -392,15 +372,11 @@ def calibrate_steps(
 def coeffs_to_csv(coeffs: CoeffSeq, path: str | Path) -> None:
     """Write coefficients as CSV with columns j,k,ell,re,im in
     lexicographic index order."""
+    t = coeffs.table
+    order = np.argsort(coeffs.rows)  # table rows are in lexicographic index order
+    rows = coeffs.rows[order]
     lines = ["j,k,ell,re,im"]
-    if coeffs.table is None:
-        items = sorted(((i.j, i.k, i.ell), complex(v)) for i, v in coeffs.entries.items())
-    else:
-        t, rows = coeffs.table, coeffs.rows
-        order = np.argsort(rows)  # table rows are in lexicographic index order
-        rows = rows[order]
-        keys = zip(t.j[rows].tolist(), t.k[rows].tolist(), t.ell[rows].tolist())
-        items = zip(keys, coeffs.values[order].tolist())
-    for (j, k, ell), v in items:
+    keys = zip(t.j[rows].tolist(), t.k[rows].tolist(), t.ell[rows].tolist())
+    for (j, k, ell), v in zip(keys, coeffs.values[order].tolist()):
         lines.append(f"{j},{k},{ell},{v.real:.17g},{v.imag:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(Path(path), "\n".join(lines) + "\n")

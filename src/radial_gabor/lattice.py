@@ -5,30 +5,28 @@ in frequency; each ring pair (j, k) carries 2 N(j, k) + 1 relative angles
 with cosines sin(pi*l / (2 N(j, k))), l = -N..N, plus measure weights mu
 that estimate the Lebesgue volume of the orbit neighborhoods.  Everything
 downstream is rotation invariant, so points are stored as orbit
-coordinates (r, s, c); explicit R^2 vectors are materialized only by the
-d = 2 covering verifier and the CSV export.
+coordinates (r, s, c), one row per atom of a ``LatticeTable``; explicit
+R^2 vectors are materialized only by the d = 2 covering verifier.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
-from .stft import OrbitPoint
+from .profiles import _write_text
 
 __all__ = [
     "LatticeIndex",
     "LatticeSpec",
-    "LatticeAtom",
     "LatticeTable",
     "angle_count",
     "measure_weight",
     "lattice_table",
-    "build_lattice",
     "index_count",
     "covered_2d",
     "lattice_to_csv",
@@ -70,13 +68,6 @@ class LatticeSpec:
             raise ValueError("jk_max must be >= 1")
 
 
-@dataclass(frozen=True)
-class LatticeAtom:
-    index: LatticeIndex
-    point: OrbitPoint
-    mu: float
-
-
 def _angle_count_array(j: np.ndarray, k: np.ndarray) -> np.ndarray:
     jf = j.astype(float)
     kf = k.astype(float)
@@ -90,28 +81,51 @@ def _angle_count_array(j: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out.astype(int)
 
 
+@functools.lru_cache(maxsize=4096)
 def angle_count(j: int, k: int) -> int:
     """Number N(j, k) of angular subdivisions on ring pair (j, k); zero on
-    the boundary rows j = 0 or k = 0."""
+    the boundary rows j = 0 or k = 0.  Memoised: every ``LatticeIndex``
+    and every ring pair the covering verifier visits asks for it."""
     if j < 0 or k < 0:
         raise ValueError("ring indices must be nonnegative")
     return int(_angle_count_array(np.array([j]), np.array([k]))[0])
+
+
+def _ring_pairs(jk_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ring pairs (j, k) with j + k <= jk_max in lexicographic order."""
+    pair_j, pair_k = np.meshgrid(np.arange(jk_max + 1), np.arange(jk_max + 1), indexing="ij")
+    keep = (pair_j + pair_k) <= jk_max
+    return pair_j[keep], pair_k[keep]
+
+
+def _half_angle(ell: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """pi ell / (2 N), and 0 on the rings with N = 0."""
+    return math.pi * ell / (2.0 * np.maximum(n, 1))
+
+
+def _mu(j: np.ndarray, k: np.ndarray, ell: np.ndarray, n: np.ndarray, d: int) -> np.ndarray:
+    """Measure weights: j^(d-1) + k^(d-1) + 1 on the boundary angles
+    |ell| = N(j, k), else (j + k) (j k cos(pi ell / 2N))^(d-2)."""
+    jf, kf = j.astype(float), k.astype(float)
+    return np.where(
+        np.abs(ell) == n,
+        jf ** (d - 1) + kf ** (d - 1) + 1.0,
+        (jf + kf) * (jf * kf * np.cos(_half_angle(ell, n))) ** (d - 2),
+    )
 
 
 def measure_weight(index: LatticeIndex | tuple[int, int, int], d: int) -> float:
     """Orbit-neighborhood volume weight mu for one lattice index."""
     if isinstance(index, tuple):
         index = LatticeIndex(*index)
-    j, k, ell = index.j, index.k, index.ell
-    n = angle_count(j, k)
-    if abs(ell) == n:
-        return float(j ** (d - 1) + k ** (d - 1) + 1)
-    return float((j + k) * (j * k * math.cos(math.pi * ell / (2.0 * n))) ** (d - 2))
+    j, k, ell = (np.array([v]) for v in (index.j, index.k, index.ell))
+    return float(_mu(j, k, ell, np.array([angle_count(index.j, index.k)]), d)[0])
 
 
 @dataclass(frozen=True)
 class LatticeTable:
-    """Columnar lattice representation for large truncations."""
+    """The lattice atoms as columns, one row per atom in lexicographic
+    (j, k, ell) order; coefficient sequences are aligned with these rows."""
 
     spec: LatticeSpec
     j: np.ndarray
@@ -126,26 +140,11 @@ class LatticeTable:
     def __len__(self) -> int:
         return self.j.size
 
-    def atoms(self) -> list[LatticeAtom]:
-        return [
-            LatticeAtom(
-                LatticeIndex(int(j), int(k), int(ell)),
-                OrbitPoint(float(r), float(s), float(c)),
-                float(mu),
-            )
-            for j, k, ell, r, s, c, mu in zip(
-                self.j, self.k, self.ell, self.r, self.s, self.c, self.mu
-            )
-        ]
-
 
 def lattice_table(spec: LatticeSpec) -> LatticeTable:
     """All lattice atoms with j + k <= jk_max in lexicographic (j, k, ell)
     order, built with vectorized arithmetic."""
-    jmax = spec.jk_max
-    pair_j, pair_k = np.meshgrid(np.arange(jmax + 1), np.arange(jmax + 1), indexing="ij")
-    keep = (pair_j + pair_k) <= jmax
-    pair_j, pair_k = pair_j[keep], pair_k[keep]
+    pair_j, pair_k = _ring_pairs(spec.jk_max)
     n_pair = _angle_count_array(pair_j, pair_k)
     counts = 2 * n_pair + 1
 
@@ -154,43 +153,24 @@ def lattice_table(spec: LatticeSpec) -> LatticeTable:
     n = np.repeat(n_pair, counts)
     offsets = np.concatenate([[0], np.cumsum(counts)])[:-1]
     ell = np.arange(counts.sum()) - np.repeat(offsets + n_pair, counts)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        half_angle = math.pi * ell / (2.0 * np.maximum(n, 1))
-    c = np.where(n == 0, 1.0, np.sin(half_angle))
-    boundary = np.abs(ell) == n
-    jf, kf = j.astype(float), k.astype(float)
-    mu = np.where(
-        boundary,
-        jf ** (spec.d - 1) + kf ** (spec.d - 1) + 1.0,
-        (jf + kf) * (jf * kf * np.cos(half_angle)) ** (spec.d - 2),
-    )
     return LatticeTable(
         spec=spec,
         j=j,
         k=k,
         ell=ell,
         n_angles=n,
-        r=spec.a * jf,
-        s=spec.b * kf,
-        c=c,
-        mu=mu,
+        r=spec.a * j.astype(float),
+        s=spec.b * k.astype(float),
+        c=np.where(n == 0, 1.0, np.sin(_half_angle(ell, n))),
+        mu=_mu(j, k, ell, n, spec.d),
     )
-
-
-def build_lattice(spec: LatticeSpec) -> list[LatticeAtom]:
-    """Materialized atom list; prefer ``lattice_table`` above a few
-    thousand atoms."""
-    return lattice_table(spec).atoms()
 
 
 def index_count(n: int) -> int:
     """Number of lattice indices with j + k <= n; grows like n^3."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    pair_j, pair_k = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    keep = (pair_j + pair_k) <= n
-    return int(np.sum(2 * _angle_count_array(pair_j[keep], pair_k[keep]) + 1))
+    return int(np.sum(2 * _angle_count_array(*_ring_pairs(n)) + 1))
 
 
 # ----------------------------------------------------------------------
@@ -319,16 +299,11 @@ def covered_2d(
     return False
 
 
-def lattice_to_csv(table: LatticeTable | Sequence[LatticeAtom], path: str | Path) -> None:
+def lattice_to_csv(table: LatticeTable, path: str | Path) -> None:
     """Write atoms as CSV with columns j,k,ell,r,s,c,mu."""
-    if isinstance(table, LatticeTable):
-        rows: Iterator = zip(table.j, table.k, table.ell, table.r, table.s, table.c, table.mu)
-    else:
-        rows = (
-            (t.index.j, t.index.k, t.index.ell, t.point.r, t.point.s, t.point.c, t.mu)
-            for t in table
-        )
     lines = ["j,k,ell,r,s,c,mu"]
-    for j, k, ell, r, s, c, mu in rows:
+    for j, k, ell, r, s, c, mu in zip(
+        table.j, table.k, table.ell, table.r, table.s, table.c, table.mu
+    ):
         lines.append(f"{int(j)},{int(k)},{int(ell)},{r:.17g},{s:.17g},{c:.17g},{mu:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(Path(path), "\n".join(lines) + "\n")

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -200,11 +202,25 @@ def normalized_gaussian_window(d: int, theta_max: float = 8.0, n_points: int = 1
 # CSV interchange: columns theta, re, im with a header row
 # ----------------------------------------------------------------------
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically: a temp file in the same
+    directory, renamed over ``path`` only once it is complete."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def profile_to_csv(profile: RadialProfile, path: str | Path) -> None:
     lines = ["theta,re,im"]
     for t, v in zip(profile.radii, profile.values):
         lines.append(f"{t:.17g},{v.real:.17g},{v.imag:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(Path(path), "\n".join(lines) + "\n")
 
 
 def profile_from_csv(path: str | Path, d: int) -> RadialProfile:

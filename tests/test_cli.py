@@ -2,6 +2,7 @@
 byte-level determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -130,6 +131,19 @@ class TestFrame:
              "--out", str(tmp_path)]
         )
         assert code == 2
+
+    def test_failed_write_keeps_previous_output(self, tmp_path, monkeypatch, capsys):
+        old = b"j,k,ell,re,im\nprevious run\n"
+        (tmp_path / "frame_coeffs.csv").write_bytes(old)
+
+        def fail(src, dst):
+            raise OSError("simulated failure of the final rename")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="simulated"):
+            run(["frame", "--d", "2", "--J", "3", "--out", str(tmp_path)])
+        assert (tmp_path / "frame_coeffs.csv").read_bytes() == old
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestApprox:

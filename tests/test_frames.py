@@ -16,7 +16,7 @@ from radial_gabor.frames import (
     reconstruct,
     synthesize,
 )
-from radial_gabor.lattice import LatticeIndex, LatticeSpec
+from radial_gabor.lattice import LatticeIndex, LatticeSpec, lattice_table
 from radial_gabor.profiles import (
     GaussianSpec,
     inner,
@@ -173,13 +173,15 @@ class TestAnalyzeSynthesize:
         assert coeffs.entries[LatticeIndex(0, 0, 0)] == pytest.approx(1.0, abs=1e-9)
 
     def test_synthesize_unit_coefficient(self, frame8):
-        unit = CoeffSeq({LatticeIndex(0, 0, 0): 1.0 + 0.0j})
+        unit = CoeffSeq(table=frame8.table, rows=[0], values=[1.0])  # row 0 is (0, 0, 0)
         out = synthesize(unit, frame8)
         assert np.max(np.abs(out.values - frame8.window.values)) < 1e-12
 
     def test_synthesize_unknown_key_rejected(self, frame8):
-        bad = CoeffSeq({LatticeIndex(20, 20, 0): 1.0 + 0.0j})
-        with pytest.raises(KeyError):
+        # coefficients indexed by a lattice the frame does not carry
+        other = lattice_table(LatticeSpec(a=0.5, b=0.5, d=2, jk_max=20))
+        bad = CoeffSeq(table=other, rows=[len(other) - 1], values=[1.0])
+        with pytest.raises(ValueError, match="different lattice"):
             synthesize(bad, frame8)
 
     def test_synthesis_of_analysis_is_frame_operator(self, frame8):
@@ -191,17 +193,13 @@ class TestAnalyzeSynthesize:
     def test_synthesize_linearity(self, frame8):
         rng = np.random.default_rng(1)
         n = len(frame8)
-        tab = frame8.table
-        indices = [
-            LatticeIndex(int(j), int(k), int(ell))
-            for j, k, ell in zip(tab.j, tab.k, tab.ell)
-        ]
+        rows = np.arange(n)
         c1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a, b = 0.3 - 1.1j, 0.8 + 0.2j
-        s1 = synthesize(CoeffSeq(dict(zip(indices, c1))), frame8).values
-        s2 = synthesize(CoeffSeq(dict(zip(indices, c2))), frame8).values
-        s12 = synthesize(CoeffSeq(dict(zip(indices, a * c1 + b * c2))), frame8).values
+        s1 = synthesize(CoeffSeq(table=frame8.table, rows=rows, values=c1), frame8).values
+        s2 = synthesize(CoeffSeq(table=frame8.table, rows=rows, values=c2), frame8).values
+        s12 = synthesize(CoeffSeq(table=frame8.table, rows=rows, values=a * c1 + b * c2), frame8).values
         assert np.max(np.abs(s12 - (a * s1 + b * s2))) < 1e-10
 
 
@@ -417,19 +415,44 @@ class TestCoeffCsv:
         assert len(lines) - 1 == len(frame8)
 
     @pytest.mark.parametrize("subset", [False, True], ids=["all-rows", "unsorted-subset"])
-    def test_array_backed_matches_dict(self, frame8, tmp_path, subset):
+    def test_csv_rows_follow_lattice_order(self, frame8, tmp_path, subset):
         f = make_profile(2, 8.0, 1024, GaussianSpec(2.0 * math.pi))
         values = reconstruct(f, frame8, tol=1e-6).coefficients.values
         tab = frame8.table
         rows = np.random.default_rng(5).permutation(len(frame8))[:17] if subset else np.arange(len(frame8))
-        array_seq = CoeffSeq(table=tab, rows=rows, values=values[rows])
-        dict_seq = CoeffSeq({
-            LatticeIndex(int(tab.j[i]), int(tab.k[i]), int(tab.ell[i])): complex(values[i]) for i in rows
-        })
-        assert len(array_seq) == len(dict_seq) == rows.size
-        assert array_seq.entries == dict_seq.entries
-        assert list(array_seq.entries) == list(dict_seq.entries)
-        coeffs_to_csv(array_seq, tmp_path / "array.csv")
-        coeffs_to_csv(dict_seq, tmp_path / "dict.csv")
-        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "dict.csv").read_bytes()
-        assert np.array_equal(synthesize(array_seq, frame8).values, synthesize(dict_seq, frame8).values)
+        seq = CoeffSeq(table=tab, rows=rows, values=values[rows])
+        assert len(seq) == len(seq.entries) == rows.size
+        for i in rows:
+            idx = LatticeIndex(int(tab.j[i]), int(tab.k[i]), int(tab.ell[i]))
+            assert seq.entries[idx] == values[i]
+        coeffs_to_csv(seq, tmp_path / "coeffs.csv")
+        lines = (tmp_path / "coeffs.csv").read_text().splitlines()
+        expected = [
+            f"{tab.j[i]},{tab.k[i]},{tab.ell[i]},{values[i].real:.17g},{values[i].imag:.17g}"
+            for i in np.sort(rows)
+        ]
+        assert lines == ["j,k,ell,re,im"] + expected
+
+
+class TestCoeffSeqValidation:
+    @pytest.mark.parametrize(
+        "rows, values",
+        [
+            ([0, 1, 2], [5.0]),  # lengths differ
+            ([[0, 1]], [[1.0, 2.0]]),  # not 1-d
+            ([0, 1], np.ones((2, 1))),  # values not 1-d
+            ([-1], [1.0]),  # before the first row
+            ([0, 10**6], [1.0, 2.0]),  # past the last row
+            ([0.0, 1.0], [1.0, 2.0]),  # not row indices
+            ([0, 0], [1.0, 2.0]),  # one row twice
+        ],
+        ids=["length", "rows-2d", "values-2d", "negative", "past-end", "float-rows", "repeated"],
+    )
+    def test_malformed_input_rejected(self, frame8, rows, values):
+        with pytest.raises(ValueError):
+            CoeffSeq(table=frame8.table, rows=rows, values=values)
+
+    def test_empty_sequence(self, frame8):
+        empty = CoeffSeq(table=frame8.table, rows=[], values=[])
+        assert len(empty) == 0 and empty.entries == {}
+        assert not synthesize(empty, frame8).values.any()

@@ -11,7 +11,6 @@ from radial_gabor.lattice import (
     LatticeIndex,
     LatticeSpec,
     angle_count,
-    build_lattice,
     covered_2d,
     index_count,
     lattice_table,
@@ -76,25 +75,32 @@ class TestMeasureWeight:
                         assert mu > 0.0
                         assert mu == measure_weight((k, j, ell), d)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_matches_table_column(self, d):
+        tab = lattice_table(LatticeSpec(a=1.0, b=1.0, d=d, jk_max=30))
+        keys = zip(tab.j.tolist(), tab.k.tolist(), tab.ell.tolist())
+        weights = [measure_weight(key, d) for key in keys]
+        assert np.array_equal(weights, tab.mu)
+
 
 class TestLatticeBuild:
     def test_minimal_truncation(self):
-        atoms = build_lattice(LatticeSpec(a=0.5, b=0.25, d=2, jk_max=1))
-        assert [(a.index.j, a.index.k, a.index.ell) for a in atoms] == [
+        tab = lattice_table(LatticeSpec(a=0.5, b=0.25, d=2, jk_max=1))
+        assert list(zip(tab.j.tolist(), tab.k.tolist(), tab.ell.tolist())) == [
             (0, 0, 0),
             (0, 1, 0),
             (1, 0, 0),
         ]
-        assert [(a.point.r, a.point.s, a.point.c) for a in atoms] == [
+        assert list(zip(tab.r.tolist(), tab.s.tolist(), tab.c.tolist())) == [
             (0.0, 0.0, 1.0),
             (0.0, 0.25, 1.0),
             (0.5, 0.0, 1.0),
         ]
 
     def test_second_truncation_count(self):
-        atoms = build_lattice(LatticeSpec(a=0.5, b=0.5, d=2, jk_max=2))
-        assert len(atoms) == 8
-        assert sum(1 for a in atoms if a.index == LatticeIndex(1, 1, a.index.ell)) == 3
+        tab = lattice_table(LatticeSpec(a=0.5, b=0.5, d=2, jk_max=2))
+        assert len(tab) == 8
+        assert np.sum((tab.j == 1) & (tab.k == 1)) == 3
 
     def test_count_matches_index_count(self):
         for j_max in (1, 3, 6, 11):
@@ -127,9 +133,6 @@ class TestLatticeBuild:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "j,k,ell,r,s,c,mu"
         assert len(lines) - 1 == index_count(3)
-        atoms_path = tmp_path / "atoms.csv"
-        lattice_to_csv(build_lattice(spec), atoms_path)
-        assert atoms_path.read_text() == path.read_text()
 
 
 class TestIndexCount:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from radial_gabor.bessel import sph_bessel, sph_bessel_values
-from radial_gabor.embeddings import EmbeddingQuery, h_sequence
 from radial_gabor.frames import build_frame, calibrate_steps, worker_count
-from radial_gabor.lattice import LatticeSpec, build_lattice, lattice_table
+from radial_gabor.lattice import LatticeSpec
 from radial_gabor.profiles import normalized_gaussian_window
 
 
@@ -52,11 +51,3 @@ class TestHighDimensionFallback:
         ref = np.array([sph_bessel(d, float(ti)) for ti in t])
         assert np.max(np.abs(vec - ref)) < 1e-12
 
-
-class TestHSequenceInputs:
-    def test_atom_list_matches_table(self):
-        spec = LatticeSpec(a=0.5, b=0.5, d=3, jk_max=5)
-        query = EmbeddingQuery(1, 2, 0.0, -0.3, 3)
-        from_table = h_sequence(lattice_table(spec), query, spec.b)
-        from_atoms = h_sequence(build_lattice(spec), query, spec.b)
-        assert np.allclose(from_table, from_atoms, rtol=0, atol=0)
