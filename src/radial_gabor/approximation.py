@@ -21,7 +21,6 @@ import numpy as np
 from .embeddings import EmbeddingQuery, approx_number_exponent, fit_decay_slope, h_sequence
 from .frames import CoeffSeq, FrameSystem, ReconstructionResult, _l2_error, reconstruct
 from .profiles import GaussianSpec, RadialProfile, norm, sphere_area
-from .stft import _gl_on
 
 __all__ = [
     "ApproxReport",
@@ -178,8 +177,14 @@ def _nterm_from_dual(
 
 
 # ----------------------------------------------------------------------
-# standard separable Gabor baseline in d = 2
+# standard separable Gabor baseline in d = 2: coefficients and Gram entries
+# are products of closed-form integrals of the 1-d factors
+# f1 = A e^(-alpha t^2) and g1 = B e^(-beta t^2), gamma = alpha + beta
 # ----------------------------------------------------------------------
+
+# exponents E within this distance count as equal coefficient magnitudes
+_TIE_TOL = 1e-9
+
 
 def _gaussian_1d_factor(g: GaussianSpec) -> GaussianSpec:
     if g.amp <= 0.0:
@@ -187,126 +192,117 @@ def _gaussian_1d_factor(g: GaussianSpec) -> GaussianSpec:
     return GaussianSpec(g.alpha, math.sqrt(g.amp))
 
 
+def _factor_stft(f1: GaussianSpec, g1: GaussianSpec, x, w) -> np.ndarray:
+    """V(x, w) = int f1(t) g1(t - x) e^(-2 pi i t w) dt, broadcast over x, w."""
+    gam = f1.alpha + g1.alpha
+    expo = (f1.alpha * g1.alpha / gam) * x**2 + (math.pi**2 / gam) * w**2
+    phase = 2.0 * math.pi * (g1.alpha / gam) * x * w
+    return f1.amp * g1.amp * math.sqrt(math.pi / gam) * np.exp(-expo - 1j * phase)
+
+
+def _factor_gram(g1: GaussianSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """gram[p, q] = int conj(phi_p) phi_q dt for phi = g1(t - x) e^(2 pi i w t)."""
+    beta = g1.alpha
+    dx, dw = x[:, None] - x[None, :], w[None, :] - w[:, None]
+    expo = (beta / 2.0) * dx**2 + (math.pi**2 / (2.0 * beta)) * dw**2
+    phase = math.pi * dw * (x[:, None] + x[None, :])
+    return g1.amp**2 * math.sqrt(math.pi / (2.0 * beta)) * np.exp(-expo + 1j * phase)
+
+
+def _truncation(f: GaussianSpec, g: GaussianSpec, a: float, b: float, box: float | None) -> tuple[int, int]:
+    """(j_max, k_max) of the lattice truncated to |a j_i|, |b k_i| <= box."""
+    if box is None:
+        scales = [math.sqrt(math.pi / h.alpha) for h in (f, g)]
+        box = 6.0 * max(scales + [1.0 / s for s in scales])
+    return int(math.floor(box / a)), int(math.floor(box / b))
+
+
 def standard_gabor_coefficients(
-    f: GaussianSpec,
-    g: GaussianSpec,
-    a: float,
-    b: float,
-    box: float | None = None,
+    f: GaussianSpec, g: GaussianSpec, a: float, b: float, box: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """STFT coefficients of f against the separable lattice (a j, b k),
     j, k in Z^2, truncated to |a j_i|, |b k_i| <= box.
 
     Returns (coeffs[j1, j2, k1, k2], x_steps, w_steps).  Both inputs are
-    radial Gaussians, so the 2-d STFT factorizes into identical 1-d
-    transforms evaluated by Gauss-Legendre quadrature; the tensor product
-    is exact for the tensor rule.
+    radial Gaussians, so the 2-d STFT is the product of two closed-form
+    1-d transforms.
     """
-    if box is None:
-        scale = max(_gauss_scale(f), 1.0 / _gauss_scale(f), _gauss_scale(g), 1.0 / _gauss_scale(g))
-        box = 6.0 * scale
-    j_max = int(math.floor(box / a))
-    k_max = int(math.floor(box / b))
+    j_max, k_max = _truncation(f, g, a, b, box)
     xs = a * np.arange(-j_max, j_max + 1)
     ws = b * np.arange(-k_max, k_max + 1)
-
-    f1 = _gaussian_1d_factor(f)
-    g1 = _gaussian_1d_factor(g)
-    half = math.sqrt(41.0 / min(f1.alpha, g1.alpha)) + box
-    nodes = max(256, 32 * math.ceil((half * (float(ws.max()) + 1.0)) / 4.0))
-    t, wt = _gl_on(-half, half, nodes)
-    # v1[x, w] = int f1(t) conj(g1(t - x)) e^(-2 pi i t w) dt
-    ft = f1(np.abs(t))
-    gt = np.conj(np.asarray(g1(np.abs(t[None, :] - xs[:, None]))))
-    phases = np.exp(-2.0j * math.pi * np.outer(t, ws)) * wt[:, None]
-    v1 = (ft[None, :] * gt) @ phases
-    coeffs = np.einsum("ac,bd->abcd", v1, v1)
-    return coeffs, xs, ws
+    v1 = _factor_stft(_gaussian_1d_factor(f), _gaussian_1d_factor(g), xs[:, None], ws[None, :])
+    return np.einsum("ac,bd->abcd", v1, v1), xs, ws
 
 
-def _gauss_scale(g: GaussianSpec) -> float:
-    return math.sqrt(math.pi / g.alpha)
+def _baseline_atoms(
+    f: GaussianSpec, g: GaussianSpec, a: float, b: float, n: int, box: float | None = None
+) -> np.ndarray:
+    """Lattice indices (j1, j2, k1, k2), one row per atom, of the n largest
+    coefficients of ``standard_gabor_coefficients`` in descending order.
+
+    |coeff| is proportional to e^(-E) with E = P (j1^2 + j2^2) + Q (k1^2 + k2^2),
+    P = alpha beta a^2 / gamma and Q = pi^2 b^2 / gamma, so atoms go by
+    ascending E; E values within _TIE_TOL of their predecessor are ties,
+    taken in the C order of the tensor.  Every selected atom has both 1-d
+    factors e = P j^2 + Q k^2 within _TIE_TOL of the n-th smallest e, so only
+    pairs of those factors are scored.
+    """
+    gam = f.alpha + g.alpha
+    p, q = f.alpha * g.alpha * a * a / gam, math.pi**2 * b * b / gam
+    j_max, k_max = _truncation(f, g, a, b, box)
+    nj, nk = 2 * j_max + 1, 2 * k_max + 1
+    if n > (nj * nk) ** 2:
+        raise ValueError("n exceeds the truncated lattice size")
+    if n == 0:
+        return np.zeros((0, 4), dtype=int)
+    e1 = p * np.arange(-j_max, j_max + 1)[:, None] ** 2 + q * np.arange(-k_max, k_max + 1)[None, :] ** 2
+    m = min(n, e1.size)
+    cut = np.partition(e1, m - 1, axis=None)[m - 1] + _TIE_TOL
+    cj, ck = np.nonzero(e1 <= cut)
+    energy = (e1[cj, ck][:, None] + e1[cj, ck][None, :]).ravel()
+    # C-order position in the (j1, j2, k1, k2) tensor of each factor pair
+    flat = (((cj[:, None] * nj + cj[None, :]) * nk + ck[:, None]) * nk + ck[None, :]).ravel()
+    order = np.argsort(energy, kind="stable")
+    tie_group = np.concatenate(([0], np.cumsum(np.diff(energy[order]) > _TIE_TOL)))
+    top = order[np.lexsort((flat[order], tie_group))][:n]
+    u, v = np.divmod(top, cj.size)
+    return np.stack([cj[u] - j_max, cj[v] - j_max, ck[u] - k_max, ck[v] - k_max], axis=1)
 
 
 def gabor_baseline_2d(
-    f: GaussianSpec,
-    g: GaussianSpec,
-    a: float,
-    b: float,
-    n_list,
-    box: float | None = None,
+    f: GaussianSpec, g: GaussianSpec, a: float, b: float, n_list, box: float | None = None
 ) -> ApproxReport:
     """Greedy n-term approximation of f with the standard separable Gabor
-    system: select atoms by coefficient magnitude, then measure the L2(R^2)
-    error of the orthogonal projection onto the selected atoms (the best
-    coefficients for that selection, matching the free-coefficient error).
+    system: select atoms by coefficient magnitude (``_baseline_atoms``), then
+    measure the L2(R^2) error of the orthogonal projection onto the selected
+    atoms (the best coefficients for that selection).
 
-    All inner products come from the same tensor-product quadrature as the
-    coefficients; for the separable atoms the 2-d rule factorizes exactly
-    into products of 1-d factor inner products, which keeps the Gram
-    assembly linear in the grid size.
+    The Gram matrix is the product of the two 1-d factor Grams and the
+    right-hand side is the atoms' own coefficients.  The error
+    sqrt(||f||^2 - proj) bottoms out near 1e-8 ||f|| from rounding.
     """
-    coeffs, xs, ws = standard_gabor_coefficients(f, g, a, b, box)
-    flat = np.abs(coeffs).ravel()
-
     n_values = sorted(int(n) for n in n_list)
-    if n_values and n_values[-1] > flat.size:
-        raise ValueError("n exceeds the truncated lattice size")
-    max_n = n_values[-1] if n_values else 0
-
-    sel = np.stack(np.unravel_index(_top_n(flat, max_n), coeffs.shape), axis=1)
-
-    f1 = _gaussian_1d_factor(f)
-    g1 = _gaussian_1d_factor(g)
+    if n_values and n_values[0] < 0:
+        raise ValueError("n must be nonnegative")
+    sel = _baseline_atoms(f, g, a, b, n_values[-1] if n_values else 0, box)
+    f1, g1 = _gaussian_1d_factor(f), _gaussian_1d_factor(g)
+    xa, xb, wa, wb = a * sel[:, 0], a * sel[:, 1], b * sel[:, 2], b * sel[:, 3]
+    gram = _factor_gram(g1, xa, wa) * _factor_gram(g1, xb, wb)
+    rhs = _factor_stft(f1, g1, xa, wa) * _factor_stft(f1, g1, xb, wb)
     f_norm_sq = (f.amp ** 2) * math.pi / (2.0 * f.alpha)
-
-    if max_n > 0:
-        # distinct 1-d factors (x, w) among the selected atoms, both axes
-        pairs = np.unique(
-            np.concatenate([sel[:, [0, 2]], sel[:, [1, 3]]], axis=0), axis=0
-        )
-        pair_id = {tuple(p): i for i, p in enumerate(pairs)}
-        half = math.sqrt(41.0 / min(f1.alpha, g1.alpha)) + float(np.abs(xs).max())
-        freq = 2.0 * float(np.abs(ws).max()) + 1.0
-        nodes = max(384, 32 * math.ceil(half * freq / 4.0))
-        t, wt = _gl_on(-half, half, nodes)
-        factors = np.empty((len(pairs), nodes), dtype=complex)
-        for i, (jx, kw) in enumerate(pairs):
-            factors[i] = g1(np.abs(t - xs[jx])) * np.exp(2.0j * math.pi * ws[kw] * t)
-        gram1 = np.conj(factors * wt) @ factors.T
-        f_vals = np.asarray(f1(np.abs(t)), dtype=complex)
-        rhs1 = np.conj(factors * wt) @ f_vals
-
-        id_a = np.array([pair_id[(j1, k1)] for j1, _, k1, _ in sel])
-        id_b = np.array([pair_id[(j2, k2)] for _, j2, _, k2 in sel])
 
     errors = []
     for n in n_values:
-        if n == 0:
-            errors.append(math.sqrt(f_norm_sq))
-            continue
-        ia, ib = id_a[:n], id_b[:n]
-        gram = gram1[np.ix_(ia, ia)] * gram1[np.ix_(ib, ib)]
-        rhs = rhs1[ia] * rhs1[ib]
-        sol, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        proj_sq = float(np.real(np.vdot(rhs, sol)))
+        proj_sq = 0.0
+        if n > 0:
+            sol, *_ = np.linalg.lstsq(gram[:n, :n], rhs[:n], rcond=None)
+            proj_sq = float(np.real(np.vdot(rhs[:n], sol)))
         errors.append(math.sqrt(max(0.0, f_norm_sq - proj_sq)))
 
     fit_ns = [n for n, e in zip(n_values, errors) if n > 0 and e > 1e-10]
     fit_es = [e for n, e in zip(n_values, errors) if n > 0 and e > 1e-10]
     slope, _ = fit_decay_slope(fit_ns, fit_es)
     return ApproxReport(tuple(n_values), tuple(errors), slope, math.nan)
-
-
-def _top_n(values: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the n largest values, equal to
-    ``np.argsort(-values, kind="stable")[:n]`` (ties in index order)
-    without sorting the whole array."""
-    if n == 0:
-        return np.zeros(0, dtype=int)
-    kth = np.partition(values, values.size - n)[values.size - n]
-    cand = np.flatnonzero(values >= kth)
-    return cand[np.argsort(-values[cand], kind="stable")][:n]
 
 
 def count_above(values, eps: float) -> int:

@@ -6,7 +6,8 @@ is byte-reproducible for a fixed --seed.  A flat key=value config file can
 seed the defaults; command-line flags override it.
 
 Exit codes: 0 success, 1 parameter validation failure (the message names
-the offending parameter), 2 numerical non-convergence.
+the offending parameter), 2 numerical non-convergence, 3 an output that
+cannot be written (for example --out naming a regular file).
 """
 
 from __future__ import annotations
@@ -378,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

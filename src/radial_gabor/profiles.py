@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -204,8 +204,10 @@ def normalized_gaussian_window(d: int, theta_max: float = 8.0, n_points: int = 1
 
 def _write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically: a temp file in the same
-    directory, renamed over ``path`` only once it is complete."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    directory, renamed over ``path`` only once it is complete.  The temp
+    file is created with mode 0o666 less the umask, as ``open`` would."""
+    tmp = path.with_name(f"{path.name}{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

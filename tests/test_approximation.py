@@ -21,6 +21,9 @@ from radial_gabor.stft import stft_direct_2d
 
 TOL = 1e-8
 MAX_ITER = 2000
+# the CLI default target (gauss2) and the approx-queries pool exponents
+BASELINE_ALPHAS = [2.0 * math.pi, 1.5, 2.4, 4.0, 6.5]
+BASELINE_IDS = ["gauss2", "1.5", "2.4", "4.0", "6.5"]
 
 
 @pytest.fixture(scope="module")
@@ -219,16 +222,45 @@ class TestGaborBaseline:
         rep = gabor_baseline_2d(self.F, self.G, 0.5, 0.5, [0, 1, 2, 4, 8, 16, 32, 64])
         assert np.all(np.diff(rep.errors) <= 1e-10)
 
-    def test_selection_is_stable_argsort_prefix(self):
-        # radial Gaussians give many exactly tied coefficient magnitudes
-        from radial_gabor.approximation import _top_n
+    @pytest.mark.parametrize("alpha", BASELINE_ALPHAS, ids=BASELINE_IDS)
+    def test_selection_matches_full_tensor_rule(self, alpha):
+        # the rule on the public tensor: ascending -log|coeff|, values within
+        # 1e-9 of their predecessor tied and taken in C order
+        from radial_gabor.approximation import _baseline_atoms
 
-        coeffs, _, _ = standard_gabor_coefficients(self.F, self.G, 0.5, 0.5)
-        flat = np.abs(coeffs).ravel()
-        full = np.argsort(-flat, kind="stable")
-        assert np.unique(flat[full[:64]]).size < 64
-        for n in (0, 1, 2, 4, 8, 16, 32, 64):
-            assert np.array_equal(_top_n(flat, n), full[:n])
+        f = GaussianSpec(alpha)
+        coeffs, xs, ws = standard_gabor_coefficients(f, self.G, 0.5, 0.5)
+        with np.errstate(divide="ignore"):
+            e = -np.log(np.abs(coeffs)).ravel()
+        order = np.argsort(e, kind="stable")
+        group = np.concatenate(([0], np.cumsum(np.diff(e[order]) > 1e-9)))
+        full = order[np.lexsort((order, group))][:128]
+        # radial Gaussians tie many magnitudes, across different (j, k) too
+        assert np.unique(np.round(e[full], 6)).size < 32
+        offset = np.array([xs.size // 2, xs.size // 2, ws.size // 2, ws.size // 2])
+        expected = np.stack(np.unravel_index(full, coeffs.shape), axis=1) - offset
+        for n in range(129):
+            assert np.array_equal(_baseline_atoms(f, self.G, 0.5, 0.5, n), expected[:n])
+
+    @pytest.mark.parametrize("alpha", BASELINE_ALPHAS, ids=BASELINE_IDS)
+    def test_amplitude_scales_errors(self, alpha):
+        ns = range(65)
+        one = np.array(gabor_baseline_2d(GaussianSpec(alpha), self.G, 0.5, 0.5, ns).errors)
+        three = np.array(gabor_baseline_2d(GaussianSpec(alpha, 3.0), self.G, 0.5, 0.5, ns).errors)
+        f_norm = math.sqrt(math.pi / (2.0 * alpha))
+        assert np.max(np.abs(three / 3.0 - one)) <= 1e-8 * f_norm
+
+    @pytest.mark.parametrize("alpha", BASELINE_ALPHAS, ids=BASELINE_IDS)
+    def test_tiny_alpha_change_leaves_errors(self, alpha):
+        ns = range(65)
+        base = np.array(gabor_baseline_2d(GaussianSpec(alpha), self.G, 0.5, 0.5, ns).errors)
+        moved = np.array(gabor_baseline_2d(GaussianSpec(alpha * (1.0 + 1e-12)), self.G, 0.5, 0.5, ns).errors)
+        f_norm = math.sqrt(math.pi / (2.0 * alpha))
+        assert np.max(np.abs(moved - base)) <= 1e-8 * f_norm
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gabor_baseline_2d(self.F, self.G, 0.5, 0.5, [-1, 4])
 
     def test_errors_eventually_small(self):
         rep = gabor_baseline_2d(self.F, self.G, 0.5, 0.5, [128])

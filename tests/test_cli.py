@@ -140,10 +140,27 @@ class TestFrame:
             raise OSError("simulated failure of the final rename")
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="simulated"):
-            run(["frame", "--d", "2", "--J", "3", "--out", str(tmp_path)])
+        assert run(["frame", "--d", "2", "--J", "3", "--out", str(tmp_path)]) == 3
+        assert "simulated" in capsys.readouterr().err
         assert (tmp_path / "frame_coeffs.csv").read_bytes() == old
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_out_naming_regular_file_exit_code(self, tmp_path, capsys):
+        target = tmp_path / "not-a-directory"
+        target.write_bytes(b"keep me\n")
+        assert run(["frame", "--d", "2", "--J", "3", "--out", str(target)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert target.read_bytes() == b"keep me\n"
+
+    def test_outputs_follow_umask(self, tmp_path, capsys):
+        previous = os.umask(0o022)
+        try:
+            assert run(["lattice", "--d", "2", "--J", "3", "--out", str(tmp_path)]) == 0
+            assert run(["frame", "--d", "2", "--J", "3", "--out", str(tmp_path)]) == 0
+        finally:
+            os.umask(previous)
+        for name in ("lattice.csv", "frame_coeffs.csv"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
 
 
 class TestApprox:
