@@ -13,7 +13,7 @@ from .approximation import (
     nterm_greedy,
     standard_gabor_coefficients,
 )
-from .bessel import BesselOrder, bessel_j, lanczos_gamma, sph_bessel, sph_bessel_values
+from .bessel import sph_bessel_values
 from .embeddings import (
     EmbeddingQuery,
     EmbeddingStatus,

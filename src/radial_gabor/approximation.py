@@ -72,6 +72,18 @@ def _coefficient_tail(lam: np.ndarray, weights: np.ndarray, dropped: np.ndarray,
     return float(np.sum(vals ** q_exp) ** (1.0 / q_exp))
 
 
+def _solver_floor(f: RadialProfile, tol: float) -> float:
+    """Error level of a dual solve to tolerance tol: errors at or below it
+    measure the solver, not the approximation."""
+    return 20.0 * tol * norm(f)
+
+
+def _fitted_slope(n_values, errors, floor: float) -> float:
+    """Log-log slope of the errors above ``floor`` at n > 0."""
+    keep = [(n, e) for n, e in zip(n_values, errors) if n > 0 and e > floor]
+    return fit_decay_slope([n for n, _ in keep], [e for _, e in keep])[0]
+
+
 def linear_approx(
     f: RadialProfile,
     fr: FrameSystem,
@@ -109,10 +121,7 @@ def linear_approx(
             dropped = order[n:]
             errors.append(_coefficient_tail(lam, weights, dropped, query.q))
 
-    floor = 20.0 * tol * norm(f)
-    fit_ns = [n for n, e in zip(n_values, errors) if n > 0 and e > floor]
-    fit_es = [e for n, e in zip(n_values, errors) if n > 0 and e > floor]
-    slope, _ = fit_decay_slope(fit_ns, fit_es)
+    slope = _fitted_slope(n_values, errors, _solver_floor(f, tol))
     reference = -float(approx_number_exponent(query.p, query.q, query.d))
     return ApproxReport(tuple(n_values), tuple(errors), slope, reference)
 
@@ -209,34 +218,32 @@ def _factor_gram(g1: GaussianSpec, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return g1.amp**2 * math.sqrt(math.pi / (2.0 * beta)) * np.exp(-expo + 1j * phase)
 
 
-def _truncation(f: GaussianSpec, g: GaussianSpec, a: float, b: float, box: float | None) -> tuple[int, int]:
-    """(j_max, k_max) of the lattice truncated to |a j_i|, |b k_i| <= box."""
-    if box is None:
-        scales = [math.sqrt(math.pi / h.alpha) for h in (f, g)]
-        box = 6.0 * max(scales + [1.0 / s for s in scales])
+def _truncation(f: GaussianSpec, g: GaussianSpec, a: float, b: float) -> tuple[int, int]:
+    """(j_max, k_max) of the lattice truncated to |a j_i|, |b k_i| <= box,
+    with box six times the widest time or frequency scale of f and g."""
+    scales = [math.sqrt(math.pi / h.alpha) for h in (f, g)]
+    box = 6.0 * max(scales + [1.0 / s for s in scales])
     return int(math.floor(box / a)), int(math.floor(box / b))
 
 
 def standard_gabor_coefficients(
-    f: GaussianSpec, g: GaussianSpec, a: float, b: float, box: float | None = None
+    f: GaussianSpec, g: GaussianSpec, a: float, b: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """STFT coefficients of f against the separable lattice (a j, b k),
-    j, k in Z^2, truncated to |a j_i|, |b k_i| <= box.
+    j, k in Z^2, truncated as in ``_truncation``.
 
     Returns (coeffs[j1, j2, k1, k2], x_steps, w_steps).  Both inputs are
     radial Gaussians, so the 2-d STFT is the product of two closed-form
     1-d transforms.
     """
-    j_max, k_max = _truncation(f, g, a, b, box)
+    j_max, k_max = _truncation(f, g, a, b)
     xs = a * np.arange(-j_max, j_max + 1)
     ws = b * np.arange(-k_max, k_max + 1)
     v1 = _factor_stft(_gaussian_1d_factor(f), _gaussian_1d_factor(g), xs[:, None], ws[None, :])
     return np.einsum("ac,bd->abcd", v1, v1), xs, ws
 
 
-def _baseline_atoms(
-    f: GaussianSpec, g: GaussianSpec, a: float, b: float, n: int, box: float | None = None
-) -> np.ndarray:
+def _baseline_atoms(f: GaussianSpec, g: GaussianSpec, a: float, b: float, n: int) -> np.ndarray:
     """Lattice indices (j1, j2, k1, k2), one row per atom, of the n largest
     coefficients of ``standard_gabor_coefficients`` in descending order.
 
@@ -249,7 +256,7 @@ def _baseline_atoms(
     """
     gam = f.alpha + g.alpha
     p, q = f.alpha * g.alpha * a * a / gam, math.pi**2 * b * b / gam
-    j_max, k_max = _truncation(f, g, a, b, box)
+    j_max, k_max = _truncation(f, g, a, b)
     nj, nk = 2 * j_max + 1, 2 * k_max + 1
     if n > (nj * nk) ** 2:
         raise ValueError("n exceeds the truncated lattice size")
@@ -269,9 +276,7 @@ def _baseline_atoms(
     return np.stack([cj[u] - j_max, cj[v] - j_max, ck[u] - k_max, ck[v] - k_max], axis=1)
 
 
-def gabor_baseline_2d(
-    f: GaussianSpec, g: GaussianSpec, a: float, b: float, n_list, box: float | None = None
-) -> ApproxReport:
+def gabor_baseline_2d(f: GaussianSpec, g: GaussianSpec, a: float, b: float, n_list) -> ApproxReport:
     """Greedy n-term approximation of f with the standard separable Gabor
     system: select atoms by coefficient magnitude (``_baseline_atoms``), then
     measure the L2(R^2) error of the orthogonal projection onto the selected
@@ -284,7 +289,7 @@ def gabor_baseline_2d(
     n_values = sorted(int(n) for n in n_list)
     if n_values and n_values[0] < 0:
         raise ValueError("n must be nonnegative")
-    sel = _baseline_atoms(f, g, a, b, n_values[-1] if n_values else 0, box)
+    sel = _baseline_atoms(f, g, a, b, n_values[-1] if n_values else 0)
     f1, g1 = _gaussian_1d_factor(f), _gaussian_1d_factor(g)
     xa, xb, wa, wb = a * sel[:, 0], a * sel[:, 1], b * sel[:, 2], b * sel[:, 3]
     gram = _factor_gram(g1, xa, wa) * _factor_gram(g1, xb, wb)
@@ -299,9 +304,7 @@ def gabor_baseline_2d(
             proj_sq = float(np.real(np.vdot(rhs[:n], sol)))
         errors.append(math.sqrt(max(0.0, f_norm_sq - proj_sq)))
 
-    fit_ns = [n for n, e in zip(n_values, errors) if n > 0 and e > 1e-10]
-    fit_es = [e for n, e in zip(n_values, errors) if n > 0 and e > 1e-10]
-    slope, _ = fit_decay_slope(fit_ns, fit_es)
+    slope = _fitted_slope(n_values, errors, 1e-10)
     return ApproxReport(tuple(n_values), tuple(errors), slope, math.nan)
 
 

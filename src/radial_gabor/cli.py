@@ -23,21 +23,24 @@ import numpy as np
 from . import __version__
 from .approximation import (
     _dual_setup,
+    _fitted_slope,
     _nterm_from_dual,
+    _solver_floor,
     gabor_baseline_2d,
     linear_approx,
     nterm_greedy,  # unused here; looked up on this module by code that drives its functions
 )
-from .embeddings import (
-    EmbeddingQuery,
-    approx_number_exponent,
-    classify_embedding,
-    entropy_exponent,
-    fit_decay_slope,
-)
+from .embeddings import EmbeddingQuery, approx_number_exponent, classify_embedding, entropy_exponent
 from .frames import build_frame, coeffs_to_csv, reconstruct
 from .lattice import LatticeSpec, covered_2d, index_count, lattice_table, lattice_to_csv
-from .profiles import GaussianSpec, RadialProfile, _write_text, make_profile, profile_to_csv
+from .profiles import (
+    GaussianSpec,
+    RadialProfile,
+    _write_text,
+    make_profile,
+    normalized_gaussian_window,
+    profile_to_csv,
+)
 from .stft import OrbitPoint, radial_stft, rot_avg_shift
 
 WINDOWS = {
@@ -65,12 +68,10 @@ def _fmt(x: float) -> str:
 
 def _window_profile(name: str, d: int, theta_max: float, n_points: int) -> RadialProfile:
     if name == "normalized":
-        evaluator = GaussianSpec(math.pi, 2.0 ** (d / 4.0))
-    elif name in WINDOWS:
-        evaluator = WINDOWS[name]
-    else:
+        return normalized_gaussian_window(d, theta_max, n_points)
+    if name not in WINDOWS:
         raise ValueError(f"unknown window {name!r}")
-    return make_profile(d, theta_max, n_points, evaluator)
+    return make_profile(d, theta_max, n_points, WINDOWS[name])
 
 
 def _json_text(payload: dict) -> str:
@@ -172,11 +173,13 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    n_list = args.n_list
+    if not n_list:
+        raise ValueError("parameter n_list: must name at least one n")
     window = _window_profile(args.window, args.d, args.theta_max, args.n_points)
     target = _window_profile(args.target, args.d, args.theta_max, args.n_points)
     spec = LatticeSpec(a=args.a, b=args.b, d=args.d, jk_max=args.J)
     fr = build_frame(window, spec, normalized=True)
-    n_list = args.n_list
     if max(n_list) > len(fr):
         raise ValueError(f"parameter n_list: {max(n_list)} exceeds {len(fr)} atoms")
 
@@ -190,8 +193,7 @@ def _cmd_approx(args) -> int:
         radial_errors = [
             _nterm_from_dual(target, fr, gamma, lam, n, args.q, args.t)[1] for n in sorted(n_list)
         ]
-        keep = [(n, e) for n, e in zip(sorted(n_list), radial_errors) if n > 0 and e > 1e-10]
-        slope, _ = fit_decay_slope([n for n, _ in keep], [e for _, e in keep])
+        slope = _fitted_slope(sorted(n_list), radial_errors, _solver_floor(target, args.tol))
 
     baseline_errors = [math.nan] * len(n_list)
     if args.baseline:
@@ -210,6 +212,8 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_covering(args) -> int:
+    if args.num_points < 1:
+        raise ValueError(f"parameter num_points: must be positive, got {args.num_points}")
     spec = LatticeSpec(a=args.a, b=args.b, d=2, jk_max=args.J)
     rng = np.random.default_rng(args.seed)
     pts = rng.uniform(-args.box, args.box, size=(args.num_points, 4))

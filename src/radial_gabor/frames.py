@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import LatticeIndex, LatticeSpec, LatticeTable, lattice_table
-from .profiles import GaussianSpec, RadialProfile, _write_text, norm, sphere_area
+from .profiles import GaussianSpec, RadialProfile, _check_compatible, _write_text, norm, sphere_area
 from .stft import (
     OrbitPoint,
     _averaged_shift_values,
@@ -107,10 +107,6 @@ class FrameSystem:
     def __len__(self) -> int:
         return self.atom_matrix.shape[0]
 
-    def atom_norms_sq(self) -> np.ndarray:
-        area = sphere_area(self.window.dim)
-        return area * np.sum(self.window.weights * np.abs(self.atom_matrix) ** 2, axis=1).real
-
     def _analyze_values(self, values: np.ndarray) -> np.ndarray:
         # conj(A) x = conj(A conj(x)) without a conjugated copy of A
         area = sphere_area(self.window.dim)
@@ -174,20 +170,14 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
             if ell > 0:
                 matrix[mid - ell] = (scale * phase.conjugate()) * minus
 
-    n_rings = len(ring_starts) - 1
-    workers = worker_count()
-    if workers > 1 and n_rings >= 16:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_ring, range(n_rings)))
-    else:
-        for i in range(n_rings):
-            fill_ring(i)
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        list(pool.map(fill_ring, range(len(ring_starts) - 1)))
     return FrameSystem(window=window, spec=spec, table=table, atom_matrix=matrix, normalized=normalized)
 
 
 def analyze(f: RadialProfile, fr: FrameSystem) -> CoeffSeq:
     """Frame coefficients <f, atom_i> for every cached atom."""
-    _check_grid(f, fr)
+    _check_compatible(f, fr.window)
     return _all_rows(fr, fr._analyze_values(f.values))
 
 
@@ -208,13 +198,8 @@ def _all_rows(fr: FrameSystem, values: np.ndarray) -> CoeffSeq:
 def frame_operator(f: RadialProfile, fr: FrameSystem) -> RadialProfile:
     """S f = sum_i <f, atom_i> atom_i; self-adjoint and positive
     semidefinite on the truncated system."""
-    _check_grid(f, fr)
+    _check_compatible(f, fr.window)
     return fr.window.with_values(fr._synthesize_values(fr._analyze_values(f.values)))
-
-
-def _check_grid(f: RadialProfile, fr: FrameSystem) -> None:
-    if f.dim != fr.window.dim or not np.array_equal(f.radii, fr.window.radii):
-        raise ValueError("profile does not live on the frame grid")
 
 
 @dataclass(frozen=True)
@@ -252,7 +237,7 @@ def reconstruct(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    _check_grid(f, fr)
+    _check_compatible(f, fr.window)
     f_norm = norm(f)
     if f_norm == 0.0:
         zero = fr.window.with_values(np.zeros_like(f.values))
@@ -308,22 +293,17 @@ def _l2_error(fr: FrameSystem, gamma: np.ndarray, f: RadialProfile) -> float:
 # ----------------------------------------------------------------------
 
 def _test_subspace(fr: FrameSystem, test_dim: int) -> np.ndarray:
-    """Orthonormal basis (rows) of span{theta^(2m) exp(-pi theta^2)}."""
+    """Orthonormal basis (rows) of span{theta^(2m) exp(-pi theta^2)}.
+
+    One QR factorization of the basis weighted by sqrt(area * w): with
+    sqrt(area * w) V^T = Q R, the rows of R^-T V are orthonormal in L2."""
     theta = fr.window.radii
-    area = sphere_area(fr.window.dim)
-    basis = []
-    for m in range(test_dim):
-        v = theta ** (2 * m) * np.exp(-math.pi * theta**2)
-        v = v.astype(complex)
-        for u in basis:  # modified Gram-Schmidt, two passes
-            v = v - (area * np.sum(fr.window.weights * v * np.conj(u))) * u
-        for u in basis:
-            v = v - (area * np.sum(fr.window.weights * v * np.conj(u))) * u
-        nrm = math.sqrt((area * np.sum(fr.window.weights * np.abs(v) ** 2)).real)
-        if nrm < 1e-13:
-            raise ValueError("test subspace degenerated; reduce test_dim")
-        basis.append(v / nrm)
-    return np.array(basis)
+    raw = theta[None, :] ** (2 * np.arange(test_dim)[:, None]) * np.exp(-math.pi * theta**2)
+    sw = np.sqrt(sphere_area(fr.window.dim) * fr.window.weights)
+    r = np.linalg.qr((raw * sw).T, mode="r")
+    if np.any(np.abs(np.diag(r)) < 1e-13):
+        raise ValueError("test subspace degenerated; reduce test_dim")
+    return np.linalg.solve(r.T, raw)
 
 
 def frame_bounds(fr: FrameSystem, test_dim: int = 6) -> tuple[float, float]:
@@ -340,6 +320,10 @@ def frame_bounds(fr: FrameSystem, test_dim: int = 6) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+# frame-bound ratio B/A above which a step counts as outside the frame regime
+_RATIO_CAP = 100.0
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     step: float
@@ -353,18 +337,17 @@ def calibrate_steps(
     d: int,
     jk_max: int,
     candidates: tuple[float, ...] = (1.0, 0.75, 0.5, 0.35, 0.25),
-    ratio_cap: float = 100.0,
     test_dim: int = 6,
 ) -> CalibrationResult | None:
     """Scan equal steps a = b over ``candidates`` (descending) and return
     the largest one whose empirical frame-bound ratio stays below
-    ``ratio_cap`` on the test subspace; None when all fail."""
+    _RATIO_CAP on the test subspace; None when all fail."""
     tried = []
     for step in sorted(candidates, reverse=True):
         tried.append(step)
         fr = build_frame(window, LatticeSpec(a=step, b=step, d=d, jk_max=jk_max), normalized=True)
         lo, hi = frame_bounds(fr, test_dim)
-        if lo > 0.0 and hi / lo < ratio_cap:
+        if lo > 0.0 and hi / lo < _RATIO_CAP:
             return CalibrationResult(step, lo, hi, tuple(tried))
     return None
 

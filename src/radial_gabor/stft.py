@@ -239,13 +239,7 @@ def _gaussian_halfwidth(fn) -> float:
     return 4.5
 
 
-def stft_direct_2d(
-    f,
-    g,
-    x: np.ndarray,
-    omega: np.ndarray,
-    nodes_per_axis: int | None = None,
-) -> complex:
+def stft_direct_2d(f, g, x: np.ndarray, omega: np.ndarray) -> complex:
     """Short-time Fourier transform in d = 2 by direct tensor quadrature:
     int f(t) conj(g(t - x)) exp(-2 pi i t.omega) dt.
 
@@ -257,10 +251,9 @@ def stft_direct_2d(
     half = max(_gaussian_halfwidth(f), _gaussian_halfwidth(g))
     center = 0.5 * x
     width = half + 0.5 * float(np.linalg.norm(x))
-    if nodes_per_axis is None:
-        freq = float(np.linalg.norm(omega)) + 1.0
-        nodes_per_axis = max(64, math.ceil(2.0 * math.pi * width * freq) + 32)
-        nodes_per_axis = ((nodes_per_axis + 31) // 32) * 32
+    freq = float(np.linalg.norm(omega)) + 1.0
+    nodes_per_axis = max(64, math.ceil(2.0 * math.pi * width * freq) + 32)
+    nodes_per_axis = ((nodes_per_axis + 31) // 32) * 32
     t1, w1 = _gl_on(center[0] - width, center[0] + width, nodes_per_axis)
     t2, w2 = _gl_on(center[1] - width, center[1] + width, nodes_per_axis)
 
@@ -272,14 +265,7 @@ def stft_direct_2d(
     return complex(phase1 @ grid @ phase2)
 
 
-def stft_rotation_average_2d(
-    f,
-    g,
-    x: np.ndarray,
-    omega: np.ndarray,
-    n_psi: int = 192,
-    nodes_per_axis: int | None = None,
-) -> complex:
+def stft_rotation_average_2d(f, g, x: np.ndarray, omega: np.ndarray, n_psi: int = 192) -> complex:
     """Average of the direct STFT over simultaneous rotations of (x, omega),
     by trapezoid quadrature in the rotation angle (the integrand is smooth
     and 2 pi periodic, so the trapezoid rule converges geometrically)."""
@@ -288,5 +274,5 @@ def stft_rotation_average_2d(
     total = 0.0 + 0.0j
     for psi in np.arange(n_psi) * (2.0 * math.pi / n_psi):
         rot = np.array([[math.cos(psi), -math.sin(psi)], [math.sin(psi), math.cos(psi)]])
-        total += stft_direct_2d(f, g, rot @ x, rot @ omega, nodes_per_axis=nodes_per_axis)
+        total += stft_direct_2d(f, g, rot @ x, rot @ omega)
     return total / n_psi

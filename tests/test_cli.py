@@ -206,6 +206,34 @@ class TestApprox:
         )
         assert code == 1
 
+    def test_empty_n_list_rejected(self, tmp_path, capsys):
+        assert run(["approx", "--n-list", "", "--out", str(tmp_path)]) == 1
+        assert "parameter n_list" in capsys.readouterr().err
+        assert not (tmp_path / "approx.csv").exists()
+
+    def test_nterm_slope_skips_solver_floor(self, tmp_path, capsys):
+        # at tol = 1e-3 the n = 24 error sits below 20 tol ||f||, where it
+        # measures the dual solve, so the fit must leave it out as
+        # linear_approx does
+        from radial_gabor.cli import _window_profile
+        from radial_gabor.embeddings import fit_decay_slope
+        from radial_gabor.profiles import norm
+
+        tol = 1e-3
+        code = run(
+            ["approx", "--d", "2", "--J", "5", "--n-points", "512", "--tol", str(tol),
+             "--no-baseline", "--n-list", "0,1,2,4,8,16,24", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in (tmp_path / "approx.csv").read_text().splitlines()[1:]]
+        floor = 20.0 * tol * norm(_window_profile("gauss2", 2, 8.0, 512))
+        ns = [int(r[0]) for r in rows]
+        errors = [float(r[1]) for r in rows]
+        assert any(n > 0 and 1e-10 < e <= floor for n, e in zip(ns, errors))
+        kept = [(n, e) for n, e in zip(ns, errors) if n > 0 and e > floor]
+        expected, _ = fit_decay_slope([n for n, _ in kept], [e for _, e in kept])
+        assert float(rows[0][3]) == expected
+
 
 class TestCovering:
     def test_small_run(self, tmp_path, capsys):
@@ -217,6 +245,12 @@ class TestCovering:
         payload = json.loads((tmp_path / "covering.json").read_text())
         assert payload["num_points"] == 40
         assert 0.8 <= payload["fraction"] <= 1.0
+
+    @pytest.mark.parametrize("num_points", ["0", "-3"])
+    def test_nonpositive_num_points_rejected(self, num_points, tmp_path, capsys):
+        assert run(["covering", "--num-points", num_points, "--out", str(tmp_path)]) == 1
+        assert "parameter num_points" in capsys.readouterr().err
+        assert not (tmp_path / "covering.json").exists()
 
 
 class TestConfigFile:

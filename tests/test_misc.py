@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from radial_gabor.bessel import sph_bessel, sph_bessel_values
 from radial_gabor.frames import build_frame, calibrate_steps, worker_count
 from radial_gabor.lattice import LatticeSpec
 from radial_gabor.profiles import normalized_gaussian_window
@@ -41,13 +40,3 @@ class TestCalibration:
         assert result.step in (1.0, 0.5)
         assert result.upper / result.lower < 100.0
         assert result.tried[0] == 1.0
-
-
-class TestHighDimensionFallback:
-    @pytest.mark.parametrize("d", [11, 12])
-    def test_vectorized_falls_back_to_scalar(self, d):
-        t = np.array([0.0, 0.3, 2.7, 14.5])
-        vec = sph_bessel_values(d, t)
-        ref = np.array([sph_bessel(d, float(ti)) for ti in t])
-        assert np.max(np.abs(vec - ref)) < 1e-12
-
