@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from radial_gabor.bessel import sph_bessel_values
 
@@ -18,6 +19,14 @@ def mp_j(nu, x):
 def mp_b(d, t):
     # B_d(t) = 0F1(; d/2; -(pi t)^2)
     return float(mpmath.hyp0f1(mpmath.mpf(d) / 2, -((mpmath.pi * mpmath.mpf(t)) ** 2)))
+
+
+def scalar_b(d, t):
+    # per-point Bessel form Gamma(a+1) (pi t)^(-a) J_a(2 pi t), a = (d-2)/2
+    if t == 0.0:
+        return 1.0
+    a = (d - 2) / 2.0
+    return math.gamma(a + 1.0) * (math.pi * t) ** (-a) * float(special.jv(a, 2.0 * math.pi * t))
 
 
 class TestSphBessel:
@@ -61,6 +70,14 @@ class TestSphBessel:
             z = (math.pi * 1e-7) ** 2
             expected = 1.0 - z / (alpha + 1.0)
             assert sph_bessel_values(d, 1e-7) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_vectorized_matches_scalar(self, d):
+        rng = np.random.default_rng(100 + d)
+        t = np.concatenate([rng.uniform(0.0, 70.0, 300), [0.0, 1e-8, 1e-6, 13.99, 14.01]])
+        vec = sph_bessel_values(d, t)
+        ref = np.array([scalar_b(d, float(ti)) for ti in t])
+        assert np.max(np.abs(vec - ref)) < 2e-10
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_vectorized_matches_mpmath(self, d):
