@@ -10,6 +10,7 @@ from .approximation import (
     count_above,
     gabor_baseline_2d,
     linear_approx,
+    nterm_approx,
     nterm_greedy,
     standard_gabor_coefficients,
 )

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingQuery, approx_number_exponent, fit_decay_slope, h_sequence
-from .frames import CoeffSeq, FrameSystem, ReconstructionResult, _l2_error, reconstruct
+from .embeddings import EmbeddingQuery, _inv, approx_number_exponent, fit_decay_slope, h_sequence
+from .frames import CoeffSeq, FrameSystem, _l2_error, reconstruct
 from .profiles import GaussianSpec, RadialProfile, norm, sphere_area
 
 __all__ = [
     "ApproxReport",
     "linear_approx",
+    "nterm_approx",
     "nterm_greedy",
     "standard_gabor_coefficients",
     "gabor_baseline_2d",
@@ -40,15 +41,12 @@ class ApproxReport:
     reference_slope: float
 
 
-def _dual_setup(
-    f: RadialProfile, fr: FrameSystem, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray, ReconstructionResult]:
+def _dual_setup(f: RadialProfile, fr: FrameSystem, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """Dual coefficients on the cached atoms (in table-row order) plus the
     matching coefficients for the unnormalized atom family."""
-    res = reconstruct(f, fr, tol=tol, max_iter=max_iter)
-    gamma = res.coefficients.values
+    gamma = reconstruct(f, fr, tol=tol, max_iter=max_iter).coefficients.values
     lam = gamma * np.sqrt(fr.table.mu) if fr.normalized else gamma.copy()
-    return gamma, lam, res
+    return gamma, lam
 
 
 def _check_n(n: int, fr: FrameSystem) -> None:
@@ -58,13 +56,25 @@ def _check_n(n: int, fr: FrameSystem) -> None:
 
 def _target_weights(fr: FrameSystem, q_exp: float, t_exp: float) -> np.ndarray:
     """Sequence-space weights (1 + b k)^t mu^(1/q - 1) of the target norm."""
-    inv_q = 0.0 if q_exp == math.inf else 1.0 / q_exp
     k = fr.table.k.astype(float)
-    return (1.0 + fr.spec.b * k) ** t_exp * fr.table.mu ** (inv_q - 1.0)
+    return (1.0 + fr.spec.b * k) ** t_exp * fr.table.mu ** (_inv(q_exp) - 1.0)
 
 
-def _coefficient_tail(lam: np.ndarray, weights: np.ndarray, dropped: np.ndarray, q_exp: float) -> float:
-    vals = np.abs(lam[dropped]) * weights[dropped]
+def _ranking(fr: FrameSystem, scores: np.ndarray) -> np.ndarray:
+    """Table rows by descending score, ties in (j, k, ell) order."""
+    return np.lexsort((fr.table.ell, fr.table.k, fr.table.j, -scores))
+
+
+def _truncation_error(f, fr, gamma, weighted, order, n: int, q_exp, t_exp, kept_values=None) -> float:
+    """Target-norm error of the expansion kept on rows ``order[:n]``: for
+    (q, t) = (2, 0) the L2 error of its synthesis, with ``kept_values`` in
+    place of the dual coefficients gamma when given; otherwise the q-norm
+    of the dropped weighted coefficients |lam| w."""
+    if q_exp == 2 and t_exp == 0:
+        gk = np.zeros_like(gamma)
+        gk[order[:n]] = gamma[order[:n]] if kept_values is None else kept_values
+        return _l2_error(fr, gk, f)
+    vals = weighted[order[n:]]
     if vals.size == 0:
         return 0.0
     if q_exp == math.inf:
@@ -72,16 +82,29 @@ def _coefficient_tail(lam: np.ndarray, weights: np.ndarray, dropped: np.ndarray,
     return float(np.sum(vals ** q_exp) ** (1.0 / q_exp))
 
 
-def _solver_floor(f: RadialProfile, tol: float) -> float:
-    """Error level of a dual solve to tolerance tol: errors at or below it
-    measure the solver, not the approximation."""
-    return 20.0 * tol * norm(f)
-
-
 def _fitted_slope(n_values, errors, floor: float) -> float:
     """Log-log slope of the errors above ``floor`` at n > 0."""
     keep = [(n, e) for n, e in zip(n_values, errors) if n > 0 and e > floor]
     return fit_decay_slope([n for n, _ in keep], [e for _, e in keep])[0]
+
+
+def _ranked_report(f, fr, query: EmbeddingQuery, n_list, tol, max_iter, reference, scores=None):
+    """Errors of the dual expansion truncated to the n best-scored atoms,
+    for each n in n_list, from one dual solve.  Without ``scores`` the
+    atoms rank by their weighted dual coefficients |lam| w, the n-term
+    rule.  Errors at or below 20 tol ||f|| measure the solver, not the
+    approximation, and stay out of the slope fit."""
+    if query.d != fr.spec.d:
+        raise ValueError("query dimension does not match the frame")
+    n_values = sorted(int(n) for n in n_list)
+    for n in n_values:
+        _check_n(n, fr)
+    gamma, lam = _dual_setup(f, fr, tol, max_iter)
+    weighted = np.abs(lam) * _target_weights(fr, query.q, query.t)
+    order = _ranking(fr, weighted if scores is None else scores)
+    errors = [_truncation_error(f, fr, gamma, weighted, order, n, query.q, query.t) for n in n_values]
+    slope = _fitted_slope(n_values, errors, 20.0 * tol * norm(f))
+    return ApproxReport(tuple(n_values), tuple(errors), slope, reference)
 
 
 def linear_approx(
@@ -99,31 +122,28 @@ def linear_approx(
     otherwise; the fitted log-log slope is reported next to the reference
     rate -(d-1)/3 (1/p - 1/q).
     """
-    if query.d != fr.spec.d:
-        raise ValueError("query dimension does not match the frame")
-    n_values = sorted(int(n) for n in n_list)
-    for n in n_values:
-        _check_n(n, fr)
-    gamma, lam, _ = _dual_setup(f, fr, tol, max_iter)
     h = h_sequence(fr.table, query, fr.spec.b)
-    order = np.lexsort((fr.table.ell, fr.table.k, fr.table.j, -h))
-    weights = _target_weights(fr, query.q, query.t)
-    direct_l2 = query.q == 2 and query.t == 0
-
-    errors = []
-    for n in n_values:
-        kept = order[:n]
-        if direct_l2:
-            gk = np.zeros_like(gamma)
-            gk[kept] = gamma[kept]
-            errors.append(_l2_error(fr, gk, f))
-        else:
-            dropped = order[n:]
-            errors.append(_coefficient_tail(lam, weights, dropped, query.q))
-
-    slope = _fitted_slope(n_values, errors, _solver_floor(f, tol))
     reference = -float(approx_number_exponent(query.p, query.q, query.d))
-    return ApproxReport(tuple(n_values), tuple(errors), slope, reference)
+    return _ranked_report(f, fr, query, n_list, tol, max_iter, reference, scores=h)
+
+
+def nterm_approx(
+    f: RadialProfile,
+    fr: FrameSystem,
+    query: EmbeddingQuery,
+    n_list,
+    tol: float = 1e-8,
+    max_iter: int = 2000,
+) -> ApproxReport:
+    """``nterm_greedy`` (without refit) for each n in n_list from one dual
+    solve, in the target norm of (query.q, query.t).
+
+    The reference rate is -(1/p - 1/q), 1/inf = 0, the n-term rate of the
+    non-linear approximation lemma; it is positive, not an error, for
+    p > q.
+    """
+    reference = -float(_inv(query.p) - _inv(query.q))
+    return _ranked_report(f, fr, query, n_list, tol, max_iter, reference)
 
 
 def nterm_greedy(
@@ -148,41 +168,18 @@ def nterm_greedy(
     coefficients spread over dependent atoms.
     """
     _check_n(n, fr)
-    gamma, lam, _ = _dual_setup(f, fr, tol, max_iter)
-    return _nterm_from_dual(f, fr, gamma, lam, n, q_exp, t_exp, refit)
-
-
-def _nterm_from_dual(
-    f: RadialProfile,
-    fr: FrameSystem,
-    gamma: np.ndarray,
-    lam: np.ndarray,
-    n: int,
-    q_exp: float,
-    t_exp: float,
-    refit: bool = False,
-) -> tuple[CoeffSeq, float]:
-    """``nterm_greedy`` on dual coefficients already solved for f, so that
-    one solve serves every n."""
-    _check_n(n, fr)
-    weights = _target_weights(fr, q_exp, t_exp)
-    scores = np.abs(lam) * weights
-    order = np.lexsort((fr.table.ell, fr.table.k, fr.table.j, -scores))
+    gamma, lam = _dual_setup(f, fr, tol, max_iter)
+    weighted = np.abs(lam) * _target_weights(fr, q_exp, t_exp)
+    order = _ranking(fr, weighted)
     kept = order[:n]
-    gk = np.zeros_like(gamma)
-    gk[kept] = gamma[kept]
+    values = gamma[kept]
     if refit and n > 0:
         area = sphere_area(fr.window.dim)
         sw = np.sqrt(area * fr.window.weights)
         basis = fr.atom_matrix[kept] * sw[None, :]
-        sol, *_ = np.linalg.lstsq(basis.T, f.values * sw, rcond=None)
-        gk[kept] = sol
-    seq = CoeffSeq(table=fr.table, rows=kept, values=gk[kept])
-    if q_exp == 2 and t_exp == 0:
-        err = _l2_error(fr, gk, f)
-    else:
-        err = _coefficient_tail(lam, weights, order[n:], q_exp)
-    return seq, err
+        values, *_ = np.linalg.lstsq(basis.T, f.values * sw, rcond=None)
+    err = _truncation_error(f, fr, gamma, weighted, order, n, q_exp, t_exp, values)
+    return CoeffSeq(table=fr.table, rows=kept, values=values), err
 
 
 # ----------------------------------------------------------------------

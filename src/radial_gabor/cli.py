@@ -22,12 +22,9 @@ import numpy as np
 
 from . import __version__
 from .approximation import (
-    _dual_setup,
-    _fitted_slope,
-    _nterm_from_dual,
-    _solver_floor,
     gabor_baseline_2d,
     linear_approx,
+    nterm_approx,
     nterm_greedy,  # unused here; looked up on this module by code that drives its functions
 )
 from .embeddings import EmbeddingQuery, approx_number_exponent, classify_embedding, entropy_exponent
@@ -36,6 +33,7 @@ from .lattice import LatticeSpec, covered_2d, index_count, lattice_table, lattic
 from .profiles import (
     GaussianSpec,
     RadialProfile,
+    _write_csv,
     _write_text,
     make_profile,
     normalized_gaussian_window,
@@ -60,10 +58,6 @@ class _Parser(argparse.ArgumentParser):
 
 class NonConvergence(RuntimeError):
     pass
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _window_profile(name: str, d: int, theta_max: float, n_points: int) -> RadialProfile:
@@ -108,16 +102,12 @@ def _cmd_omega(args) -> int:
 def _cmd_stft(args) -> int:
     window = _window_profile(args.window, args.d, args.theta_max, args.n_points)
     target = _window_profile(args.target, args.d, args.theta_max, args.n_points)
-    rows = ["r,s,c,re,im,abs"]
-    for r in args.r:
-        for s in args.s:
-            for c in args.c:
-                v = radial_stft(target, window, OrbitPoint(r, s, c))
-                rows.append(
-                    f"{_fmt(r)},{_fmt(s)},{_fmt(c)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
-                )
+    points = [(r, s, c) for r in args.r for s in args.s for c in args.c]
+    values = [radial_stft(target, window, OrbitPoint(*pt)) for pt in points]
+    # abs() per value: np.abs can differ from it in the last digit
+    columns = [*zip(*points), np.real(values), np.imag(values), [abs(v) for v in values]]
     out = Path(args.out) / "stft.csv"
-    _write_text(out, "\n".join(rows) + "\n")
+    _write_csv(out, "r,s,c,re,im,abs", columns)
     print(f"wrote {out}")
     return 0
 
@@ -147,13 +137,7 @@ def _cmd_frame(args) -> int:
 
 def _cmd_embed(args) -> int:
     query = EmbeddingQuery(p=args.p, q=args.q, s=args.s, t=args.t, d=args.d)
-    verdict = classify_embedding(query)
-    if args.p < args.q:
-        entropy = float(entropy_exponent(args.p, args.q, 3.0 / (args.d - 1)))
-        approx = float(approx_number_exponent(args.p, args.q, args.d))
-    else:
-        entropy = 0.0
-        approx = 0.0
+    verdict = classify_embedding(query)  # rejects p > q
     payload = {
         "p": args.p,
         "q": args.q,
@@ -163,8 +147,8 @@ def _cmd_embed(args) -> int:
         "status": verdict.status.value,
         "alpha": float(verdict.alpha),
         "threshold": float(verdict.threshold),
-        "entropy_decay": entropy,
-        "approx_decay": approx,
+        "entropy_decay": float(entropy_exponent(args.p, args.q, 3.0 / (args.d - 1))),
+        "approx_decay": float(approx_number_exponent(args.p, args.q, args.d)),
     }
     text = _json_text(payload)
     _write_text(Path(args.out) / "embed.json", text)
@@ -176,37 +160,26 @@ def _cmd_approx(args) -> int:
     n_list = args.n_list
     if not n_list:
         raise ValueError("parameter n_list: must name at least one n")
+    if min(n_list) < 0:
+        raise ValueError(f"parameter n_list: must be nonnegative, got {min(n_list)}")
+    if args.baseline and args.d != 2:
+        raise ValueError("parameter baseline: the standard-lattice baseline requires d = 2")
     window = _window_profile(args.window, args.d, args.theta_max, args.n_points)
     target = _window_profile(args.target, args.d, args.theta_max, args.n_points)
+    query = EmbeddingQuery(p=args.p, q=args.q, s=args.s, t=args.t, d=args.d)
     spec = LatticeSpec(a=args.a, b=args.b, d=args.d, jk_max=args.J)
     fr = build_frame(window, spec, normalized=True)
     if max(n_list) > len(fr):
         raise ValueError(f"parameter n_list: {max(n_list)} exceeds {len(fr)} atoms")
 
-    query = EmbeddingQuery(p=args.p, q=args.q, s=args.s, t=args.t, d=args.d)
-    if args.mode == "linear":
-        report = linear_approx(target, fr, query, n_list, tol=args.tol, max_iter=args.max_iter)
-        radial_errors = list(report.errors)
-        slope = report.fitted_slope
-    else:
-        gamma, lam, _ = _dual_setup(target, fr, args.tol, args.max_iter)
-        radial_errors = [
-            _nterm_from_dual(target, fr, gamma, lam, n, args.q, args.t)[1] for n in sorted(n_list)
-        ]
-        slope = _fitted_slope(sorted(n_list), radial_errors, _solver_floor(target, args.tol))
-
-    baseline_errors = [math.nan] * len(n_list)
+    approx = linear_approx if args.mode == "linear" else nterm_approx
+    report = approx(target, fr, query, n_list, tol=args.tol, max_iter=args.max_iter)
+    baseline = [math.nan] * len(n_list)
     if args.baseline:
-        if args.d != 2:
-            raise ValueError("parameter baseline: the standard-lattice baseline requires d = 2")
-        rep_b = gabor_baseline_2d(target.analytic, window.analytic, args.a, args.b, n_list)
-        baseline_errors = list(rep_b.errors)
-
-    rows = ["n,radial_error,baseline_error,slope_fit"]
-    for n, re_, be in zip(sorted(n_list), radial_errors, baseline_errors):
-        rows.append(f"{n},{_fmt(re_)},{_fmt(be)},{_fmt(slope)}")
+        baseline = gabor_baseline_2d(target.analytic, window.analytic, args.a, args.b, n_list).errors
+    columns = [report.n_values, report.errors, baseline, [report.fitted_slope] * len(n_list)]
     out = Path(args.out) / "approx.csv"
-    _write_text(out, "\n".join(rows) + "\n")
+    _write_csv(out, "n,radial_error,baseline_error,slope_fit", columns)
     print(f"wrote {out}")
     return 0
 
@@ -214,6 +187,8 @@ def _cmd_approx(args) -> int:
 def _cmd_covering(args) -> int:
     if args.num_points < 1:
         raise ValueError(f"parameter num_points: must be positive, got {args.num_points}")
+    if not args.box > 0:
+        raise ValueError(f"parameter box: must be positive, got {args.box}")
     spec = LatticeSpec(a=args.a, b=args.b, d=2, jk_max=args.J)
     rng = np.random.default_rng(args.seed)
     pts = rng.uniform(-args.box, args.box, size=(args.num_points, 4))

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import LatticeIndex, LatticeSpec, LatticeTable, lattice_table
-from .profiles import GaussianSpec, RadialProfile, _check_compatible, _write_text, norm, sphere_area
+from .profiles import GaussianSpec, RadialProfile, _check_compatible, _write_csv, norm, sphere_area
 from .stft import (
     OrbitPoint,
     _averaged_shift_values,
@@ -138,11 +138,9 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
     n_atoms = len(table)
     matrix = np.empty((n_atoms, window.radii.size), dtype=complex)
 
-    ring_starts = [0]
-    for i in range(1, n_atoms):
-        if table.j[i] != table.j[i - 1] or table.k[i] != table.k[i - 1]:
-            ring_starts.append(i)
-    ring_starts.append(n_atoms)
+    # rows are in (j, k, ell) order, so a ring starts wherever (j, k) changes
+    new_ring = (np.diff(table.j) != 0) | (np.diff(table.k) != 0)
+    ring_starts = [0, *(np.flatnonzero(new_ring) + 1).tolist(), n_atoms]
 
     gaussian = window.analytic if isinstance(window.analytic, GaussianSpec) else None
 
@@ -357,9 +355,5 @@ def coeffs_to_csv(coeffs: CoeffSeq, path: str | Path) -> None:
     lexicographic index order."""
     t = coeffs.table
     order = np.argsort(coeffs.rows)  # table rows are in lexicographic index order
-    rows = coeffs.rows[order]
-    lines = ["j,k,ell,re,im"]
-    keys = zip(t.j[rows].tolist(), t.k[rows].tolist(), t.ell[rows].tolist())
-    for (j, k, ell), v in zip(keys, coeffs.values[order].tolist()):
-        lines.append(f"{j},{k},{ell},{v.real:.17g},{v.imag:.17g}")
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    rows, values = coeffs.rows[order], coeffs.values[order]
+    _write_csv(path, "j,k,ell,re,im", [t.j[rows], t.k[rows], t.ell[rows], values.real, values.imag])

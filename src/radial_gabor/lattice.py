@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .profiles import _write_text
+from .profiles import _write_csv
 
 __all__ = [
     "LatticeIndex",
@@ -301,9 +301,5 @@ def covered_2d(
 
 def lattice_to_csv(table: LatticeTable, path: str | Path) -> None:
     """Write atoms as CSV with columns j,k,ell,r,s,c,mu."""
-    lines = ["j,k,ell,r,s,c,mu"]
-    for j, k, ell, r, s, c, mu in zip(
-        table.j, table.k, table.ell, table.r, table.s, table.c, table.mu
-    ):
-        lines.append(f"{int(j)},{int(k)},{int(ell)},{r:.17g},{s:.17g},{c:.17g},{mu:.17g}")
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    columns = [table.j, table.k, table.ell, table.r, table.s, table.c, table.mu]
+    _write_csv(path, "j,k,ell,r,s,c,mu", columns)

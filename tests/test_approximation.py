@@ -10,6 +10,7 @@ from radial_gabor.approximation import (
     count_above,
     gabor_baseline_2d,
     linear_approx,
+    nterm_approx,
     nterm_greedy,
     standard_gabor_coefficients,
 )
@@ -73,6 +74,8 @@ class TestLinearApprox:
     def test_dimension_mismatch_rejected(self, frame10, target):
         with pytest.raises(ValueError):
             linear_approx(target, frame10, EmbeddingQuery(1, 2, 0, 0, 3), [1])
+        with pytest.raises(ValueError):
+            nterm_approx(target, frame10, EmbeddingQuery(1, 2, 0, 0, 3), [1])
 
     @pytest.mark.parametrize("bad", [-1, "len+1"])
     def test_out_of_range_n_rejected_before_solve(self, frame10, target, monkeypatch, bad):
@@ -87,6 +90,8 @@ class TestLinearApprox:
             linear_approx(target, frame10, QUERY, [0, 4, n], tol=TOL, max_iter=MAX_ITER)
         with pytest.raises(ValueError):
             nterm_greedy(target, frame10, n, 2, 0, tol=TOL, max_iter=MAX_ITER)
+        with pytest.raises(ValueError):
+            nterm_approx(target, frame10, QUERY, [0, 4, n], tol=TOL, max_iter=MAX_ITER)
 
     def test_weighted_norm_route(self, frame10, target):
         q = EmbeddingQuery(1, 4, 0, -0.5, 2)
@@ -166,7 +171,7 @@ class TestNtermGreedy:
         # the rearranged weighted coefficient sequence feeds the tail bound
         from radial_gabor.approximation import _dual_setup, _target_weights
 
-        _, lam, _ = _dual_setup(target, frame10, TOL, MAX_ITER)
+        _, lam = _dual_setup(target, frame10, TOL, MAX_ITER)
         weights = _target_weights(frame10, 2, 0)
         b = rearrange(np.abs(lam) * weights)
         b = b[b > 0]
@@ -183,6 +188,42 @@ class TestNtermGreedy:
             vals.append(math.sqrt(n) * err)
         ratios = [b / a for a, b in zip(vals, vals[1:])]
         assert all(r < 1.5 for r in ratios)
+
+
+class TestNtermApprox:
+    @pytest.mark.parametrize(
+        "query", [QUERY, EmbeddingQuery(1, 4, 0, 0.5, 2)], ids=["l2", "weighted"]
+    )
+    def test_matches_nterm_greedy_with_one_solve(self, frame10, target, monkeypatch, query):
+        from radial_gabor import approximation
+
+        ns = [8, 0, 1, 4, 64, len(frame10)]
+        greedy = [
+            nterm_greedy(target, frame10, n, query.q, query.t, tol=TOL, max_iter=MAX_ITER)[1]
+            for n in sorted(ns)
+        ]
+        calls, solve = [], approximation.reconstruct
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(approximation, "reconstruct", counted)
+        rep = nterm_approx(target, frame10, query, ns, tol=TOL, max_iter=MAX_ITER)
+        assert len(calls) == 1
+        assert rep.n_values == tuple(sorted(ns))
+        assert rep.errors == tuple(greedy)  # bitwise, not approximately
+        assert rep.fitted_slope < 0.0
+
+    @pytest.mark.parametrize(
+        "p,q,want",
+        [(1, 2, -0.5), (1, 4, -0.75), (2, math.inf, -0.5), (1, math.inf, -1.0), (4, 2, 0.25)],
+    )
+    def test_reference_slope_is_nonlinear_rate(self, sparse_frame, target, p, q, want):
+        # -(1/p - 1/q): the n-term lemma's rate, not the linear -(d-1)/3 (1/p - 1/q);
+        # p > q runs (its rate is positive) rather than raising
+        rep = nterm_approx(target, sparse_frame, EmbeddingQuery(p, q, 0, 0, 2), [0, 4], tol=1e-6)
+        assert rep.reference_slope == want
 
 
 class TestStandardGaborCoefficients:

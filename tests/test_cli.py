@@ -211,6 +211,25 @@ class TestApprox:
         assert "parameter n_list" in capsys.readouterr().err
         assert not (tmp_path / "approx.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv,parameter",
+        [
+            (["--n-list=-1,2", "--no-baseline"], "parameter n_list"),
+            (["--d", "3", "--J", "8", "--n-list", "0,2,8"], "parameter baseline"),
+        ],
+        ids=["negative-n", "baseline-d3"],
+    )
+    def test_rejected_before_frame_build(self, argv, parameter, tmp_path, monkeypatch, capsys):
+        from radial_gabor import cli
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the frame was built before the parameters were checked")
+
+        monkeypatch.setattr(cli, "build_frame", no_build)
+        assert run(["approx", *argv, "--out", str(tmp_path)]) == 1
+        assert parameter in capsys.readouterr().err
+        assert not (tmp_path / "approx.csv").exists()
+
     def test_nterm_slope_skips_solver_floor(self, tmp_path, capsys):
         # at tol = 1e-3 the n = 24 error sits below 20 tol ||f||, where it
         # measures the dual solve, so the fit must leave it out as
@@ -250,6 +269,18 @@ class TestCovering:
     def test_nonpositive_num_points_rejected(self, num_points, tmp_path, capsys):
         assert run(["covering", "--num-points", num_points, "--out", str(tmp_path)]) == 1
         assert "parameter num_points" in capsys.readouterr().err
+        assert not (tmp_path / "covering.json").exists()
+
+    @pytest.mark.parametrize("box", ["0", "-5"])
+    def test_nonpositive_box_rejected(self, box, tmp_path, monkeypatch, capsys):
+        from radial_gabor import cli
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("points were checked before the parameters")
+
+        monkeypatch.setattr(cli, "covered_2d", no_scan)
+        assert run(["covering", "--box", box, "--num-points", "5", "--out", str(tmp_path)]) == 1
+        assert "parameter box: must be positive" in capsys.readouterr().err
         assert not (tmp_path / "covering.json").exists()
 
 

@@ -173,6 +173,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             profile_from_csv(path, 2)
 
+    def test_writer_row_format(self, tmp_path):
+        # integers print as integers, floats with 17 significant digits,
+        # numpy and Python scalars alike; no rows leaves the header alone
+        from radial_gabor.profiles import _write_csv
+
+        path = tmp_path / "rows.csv"
+        _write_csv(path, "n,x,y", [np.array([0, 12]), np.array([0.1, -2.5e-300]), [math.nan, 1 / 3]])
+        rows = ["n,x,y", "0,0.10000000000000001,nan", "12,-2.5e-300,0.33333333333333331"]
+        assert path.read_text() == "\n".join(rows) + "\n"
+        _write_csv(path, "n,x", [[], []])
+        assert path.read_text() == "n,x\n"
+
 
 class TestSplineDtype:
     """Profiles without an analytic evaluator go through a cubic spline,
