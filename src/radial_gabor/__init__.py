@@ -34,6 +34,7 @@ from .frames import (
     CalibrationResult,
     CoeffSeq,
     FrameSystem,
+    NonConvergence,
     ReconstructionResult,
     analyze,
     build_frame,

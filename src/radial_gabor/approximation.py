@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingQuery, _inv, approx_number_exponent, fit_decay_slope, h_sequence
-from .frames import CoeffSeq, FrameSystem, _l2_error, reconstruct
+from .frames import CoeffSeq, FrameSystem, NonConvergence, _l2_error, reconstruct
 from .profiles import GaussianSpec, RadialProfile, norm, sphere_area
 
 __all__ = [
@@ -41,28 +41,30 @@ class ApproxReport:
     reference_slope: float
 
 
-def _dual_setup(f: RadialProfile, fr: FrameSystem, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dual coefficients on the cached atoms (in table-row order) plus the
-    matching coefficients for the unnormalized atom family."""
-    gamma = reconstruct(f, fr, tol=tol, max_iter=max_iter).coefficients.values
-    lam = gamma * np.sqrt(fr.table.mu) if fr.normalized else gamma.copy()
-    return gamma, lam
-
-
 def _check_n(n: int, fr: FrameSystem) -> None:
     if n < 0 or n > len(fr):
         raise ValueError("n must lie in [0, number of atoms]")
 
 
-def _target_weights(fr: FrameSystem, q_exp: float, t_exp: float) -> np.ndarray:
-    """Sequence-space weights (1 + b k)^t mu^(1/q - 1) of the target norm."""
-    k = fr.table.k.astype(float)
-    return (1.0 + fr.spec.b * k) ** t_exp * fr.table.mu ** (_inv(q_exp) - 1.0)
+def _ranked_dual(f, fr, q_exp, t_exp, tol, max_iter, scores=None):
+    """One dual solve, ranked: (gamma, weighted, order).
 
-
-def _ranking(fr: FrameSystem, scores: np.ndarray) -> np.ndarray:
-    """Table rows by descending score, ties in (j, k, ell) order."""
-    return np.lexsort((fr.table.ell, fr.table.k, fr.table.j, -scores))
+    gamma are the dual coefficients on the cached atoms, weighted the
+    coefficients lam of the unnormalized atom family as |lam| w, with the
+    sequence-space weights w = (1 + b k)^t mu^(1/q - 1) of the target norm,
+    and order the table rows by descending score (``scores``, else
+    weighted), ties in row order, which is (j, k, ell) order.  Raises
+    ``NonConvergence`` when the solve stops above tol.
+    """
+    res = reconstruct(f, fr, tol=tol, max_iter=max_iter)
+    if not res.converged:
+        raise NonConvergence(f"dual solve stalled at relative error {res.relative_error:.3e}")
+    gamma = res.coefficients.values
+    lam = gamma * np.sqrt(fr.table.mu) if fr.normalized else gamma
+    w = (1.0 + fr.spec.b * fr.table.k.astype(float)) ** t_exp * fr.table.mu ** (_inv(q_exp) - 1.0)
+    weighted = np.abs(lam) * w
+    order = np.argsort(-(weighted if scores is None else scores), kind="stable")
+    return gamma, weighted, order
 
 
 def _truncation_error(f, fr, gamma, weighted, order, n: int, q_exp, t_exp, kept_values=None) -> float:
@@ -99,9 +101,7 @@ def _ranked_report(f, fr, query: EmbeddingQuery, n_list, tol, max_iter, referenc
     n_values = sorted(int(n) for n in n_list)
     for n in n_values:
         _check_n(n, fr)
-    gamma, lam = _dual_setup(f, fr, tol, max_iter)
-    weighted = np.abs(lam) * _target_weights(fr, query.q, query.t)
-    order = _ranking(fr, weighted if scores is None else scores)
+    gamma, weighted, order = _ranked_dual(f, fr, query.q, query.t, tol, max_iter, scores)
     errors = [_truncation_error(f, fr, gamma, weighted, order, n, query.q, query.t) for n in n_values]
     slope = _fitted_slope(n_values, errors, 20.0 * tol * norm(f))
     return ApproxReport(tuple(n_values), tuple(errors), slope, reference)
@@ -168,9 +168,7 @@ def nterm_greedy(
     coefficients spread over dependent atoms.
     """
     _check_n(n, fr)
-    gamma, lam = _dual_setup(f, fr, tol, max_iter)
-    weighted = np.abs(lam) * _target_weights(fr, q_exp, t_exp)
-    order = _ranking(fr, weighted)
+    gamma, weighted, order = _ranked_dual(f, fr, q_exp, t_exp, tol, max_iter)
     kept = order[:n]
     values = gamma[kept]
     if refit and n > 0:

@@ -28,7 +28,7 @@ from .approximation import (
     nterm_greedy,  # unused here; looked up on this module by code that drives its functions
 )
 from .embeddings import EmbeddingQuery, approx_number_exponent, classify_embedding, entropy_exponent
-from .frames import build_frame, coeffs_to_csv, reconstruct
+from .frames import NonConvergence, build_frame, coeffs_to_csv, reconstruct
 from .lattice import LatticeSpec, covered_2d, index_count, lattice_table, lattice_to_csv
 from .profiles import (
     GaussianSpec,
@@ -54,10 +54,6 @@ WINDOWS = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse default exits 2
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-class NonConvergence(RuntimeError):
-    pass
 
 
 def _window_profile(name: str, d: int, theta_max: float, n_points: int) -> RadialProfile:
@@ -164,6 +160,8 @@ def _cmd_approx(args) -> int:
         raise ValueError(f"parameter n_list: must be nonnegative, got {min(n_list)}")
     if args.baseline and args.d != 2:
         raise ValueError("parameter baseline: the standard-lattice baseline requires d = 2")
+    if args.mode == "linear" and args.p > args.q:
+        raise ValueError(f"parameter p: --mode linear requires p <= q, got p = {args.p} > q = {args.q}")
     window = _window_profile(args.window, args.d, args.theta_max, args.n_points)
     target = _window_profile(args.target, args.d, args.theta_max, args.n_points)
     query = EmbeddingQuery(p=args.p, q=args.q, s=args.s, t=args.t, d=args.d)

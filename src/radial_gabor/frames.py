@@ -7,12 +7,14 @@ normalization that turns the family into a Hilbert frame.  Analysis,
 synthesis and the frame operator are dense linear algebra against the
 cached profile matrix.
 
-``reconstruct`` computes canonical-dual coefficients by conjugate-gradient
-iteration on the Gram (normal) system with Jacobi preconditioning by the
-atom-profile squared norms.  CG minimizes the Gram-energy norm of the
-coefficient error, which equals the L2 distance between the running
-reconstruction and the best one, so the reported reconstruction error is
-monotone in the iteration count by construction.
+``reconstruct`` computes canonical-dual coefficients by plain
+(unpreconditioned) conjugate-gradient iteration on the Gram (normal)
+system from a zero start, whose limit is the minimal-norm coefficient
+vector.  CG minimizes the Gram-energy norm of the coefficient error, which
+equals the L2 distance between the running reconstruction and the best
+one, so the reported reconstruction error is monotone in the iteration
+count by construction.  Callers that need a converged solve raise
+``NonConvergence`` when ``converged`` is False.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "CoeffSeq",
     "FrameSystem",
     "ReconstructionResult",
+    "NonConvergence",
     "CalibrationResult",
     "worker_count",
     "build_frame",
@@ -198,6 +201,10 @@ def frame_operator(f: RadialProfile, fr: FrameSystem) -> RadialProfile:
     semidefinite on the truncated system."""
     _check_compatible(f, fr.window)
     return fr.window.with_values(fr._synthesize_values(fr._analyze_values(f.values)))
+
+
+class NonConvergence(RuntimeError):
+    """A reconstruction that stopped above its tolerance."""
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ theta_max.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 import secrets
@@ -23,7 +24,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "GridMismatchError",
@@ -97,9 +97,10 @@ def make_grid(theta_max: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
 class RadialProfile:
     """Samples of a radial function on a fixed quadrature grid.
 
-    ``weights`` implement integration against theta^(d-1) d theta on
-    [0, theta_max]; ``analytic`` optionally tags a closed-form evaluator
-    used for off-grid evaluation.
+    ``radii`` must be a composite grid ``make_grid(theta_max, n)``, whose
+    ``theta_max`` the profile carries; ``weights`` implement integration
+    against theta^(d-1) d theta on [0, theta_max]; ``analytic`` optionally
+    tags a closed-form evaluator used for off-grid evaluation.
     """
 
     dim: int
@@ -108,6 +109,7 @@ class RadialProfile:
     weights: np.ndarray
     analytic: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _spline: list = field(default_factory=list, repr=False, compare=False)
+    theta_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -128,10 +130,7 @@ class RadialProfile:
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def theta_max(self) -> float:
-        return float(self.radii[-1] / _grid_last_fraction(self.radii.size))
+        object.__setattr__(self, "theta_max", _grid_theta_max(radii))
 
     def with_values(self, values: np.ndarray, analytic=None) -> "RadialProfile":
         return RadialProfile(self.dim, self.radii, values, self.weights, analytic)
@@ -147,15 +146,35 @@ class RadialProfile:
         if self.analytic is not None:
             return np.asarray(self.analytic(theta))
         if not self._spline:
+            # imported here: scipy.interpolate is heavy and only sampled
+            # profiles without an analytic form need it
+            from scipy.interpolate import CubicSpline
+
             samples = self.values.real if not self.values.imag.any() else self.values
             self._spline.append(CubicSpline(self.radii, samples, bc_type="not-a-knot"))
         out = self._spline[0](theta)
         return np.where(theta <= self.theta_max, out, 0.0)
 
 
-def _grid_last_fraction(n_points: int) -> float:
-    panels = n_points // PANEL_NODES
-    return (panels - 1.0 + 0.5 * (_GL8_X[-1] + 1.0)) / panels
+@functools.lru_cache(maxsize=16)
+def _unit_grid(n_points: int) -> np.ndarray:
+    """Read-only radii of make_grid(1.0, n_points), the grid check's reference."""
+    radii = make_grid(1.0, n_points)[0]
+    radii.setflags(write=False)
+    return radii
+
+
+def _grid_theta_max(radii: np.ndarray) -> float:
+    """theta_max of a composite grid, checked: the size n must be a positive
+    multiple of PANEL_NODES and ``radii`` must equal make_grid(theta_max, n)."""
+    n = radii.size
+    if n == 0 or n % PANEL_NODES != 0:
+        raise ValueError("grid size is not a positive multiple of the panel size")
+    panels = n // PANEL_NODES
+    theta_max = float(radii[-1] / ((panels - 1.0 + 0.5 * (_GL8_X[-1] + 1.0)) / panels))
+    if not np.abs(radii - theta_max * _unit_grid(n)).max() <= 1e-9 * theta_max:
+        raise ValueError("radii are not a composite Gauss-Legendre grid")
+    return theta_max
 
 
 def make_profile(
@@ -245,12 +264,5 @@ def profile_from_csv(path: str | Path, d: int) -> RadialProfile:
     rows = [line.split(",") for line in raw[1:]]
     radii = np.array([float(r[0]) for r in rows])
     values = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-    n = radii.size
-    if n % PANEL_NODES != 0:
-        raise ValueError("grid size is not a multiple of the panel size")
-    theta_max = radii[-1] / _grid_last_fraction(n)
-    rebuilt, base = make_grid(theta_max, n)
-    if not np.allclose(rebuilt, radii, rtol=0.0, atol=1e-9 * theta_max):
-        raise ValueError("radius column is not a composite Gauss-Legendre grid")
-    weights = base * rebuilt ** (d - 1)
-    return RadialProfile(d, rebuilt, values, weights)
+    rebuilt, base = make_grid(_grid_theta_max(radii), radii.size)
+    return RadialProfile(d, rebuilt, values, base * rebuilt ** (d - 1))

@@ -15,7 +15,7 @@ from radial_gabor.approximation import (
     standard_gabor_coefficients,
 )
 from radial_gabor.embeddings import EmbeddingQuery, rearrange, sigma_tail
-from radial_gabor.frames import analyze, build_frame
+from radial_gabor.frames import NonConvergence, analyze, build_frame, reconstruct
 from radial_gabor.lattice import LatticeSpec
 from radial_gabor.profiles import GaussianSpec, make_profile, norm, normalized_gaussian_window
 from radial_gabor.stft import stft_direct_2d
@@ -169,11 +169,10 @@ class TestNtermGreedy:
 
     def test_weighted_tail_satisfies_lower_bound_inequality(self, frame10, target):
         # the rearranged weighted coefficient sequence feeds the tail bound
-        from radial_gabor.approximation import _dual_setup, _target_weights
+        from radial_gabor.approximation import _ranked_dual
 
-        _, lam = _dual_setup(target, frame10, TOL, MAX_ITER)
-        weights = _target_weights(frame10, 2, 0)
-        b = rearrange(np.abs(lam) * weights)
+        _, weighted, _ = _ranked_dual(target, frame10, 2, 0, TOL, MAX_ITER)
+        b = rearrange(weighted)
         b = b[b > 0]
         p, q = 1, 2
         alpha = 1 / p - 1 / q
@@ -224,6 +223,26 @@ class TestNtermApprox:
         # p > q runs (its rate is positive) rather than raising
         rep = nterm_approx(target, sparse_frame, EmbeddingQuery(p, q, 0, 0, 2), [0, 4], tol=1e-6)
         assert rep.reference_slope == want
+
+
+class TestNonConvergence:
+    """Errors from a dual solve that stopped above tol measure the solver,
+    so every entry point raises instead of reporting them."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, fr: linear_approx(f, fr, QUERY, [0, 8], tol=TOL, max_iter=3),
+            lambda f, fr: nterm_approx(f, fr, QUERY, [0, 8], tol=TOL, max_iter=3),
+            lambda f, fr: nterm_greedy(f, fr, 8, 2, 0, tol=TOL, max_iter=3),
+            lambda f, fr: nterm_greedy(f, fr, 8, 2, 0, tol=TOL, max_iter=3, refit=True),
+        ],
+        ids=["linear", "nterm", "greedy", "greedy-refit"],
+    )
+    def test_unconverged_dual_raises(self, call, frame10, target):
+        reached = reconstruct(target, frame10, tol=TOL, max_iter=3).relative_error
+        with pytest.raises(NonConvergence, match=f"{reached:.3e}"):
+            call(target, frame10)
 
 
 class TestStandardGaborCoefficients:

@@ -216,8 +216,9 @@ class TestApprox:
         [
             (["--n-list=-1,2", "--no-baseline"], "parameter n_list"),
             (["--d", "3", "--J", "8", "--n-list", "0,2,8"], "parameter baseline"),
+            (["--mode", "linear", "--p", "4", "--q", "2"], "parameter p: --mode linear requires p <= q"),
         ],
-        ids=["negative-n", "baseline-d3"],
+        ids=["negative-n", "baseline-d3", "linear-p-above-q"],
     )
     def test_rejected_before_frame_build(self, argv, parameter, tmp_path, monkeypatch, capsys):
         from radial_gabor import cli
@@ -228,6 +229,29 @@ class TestApprox:
         monkeypatch.setattr(cli, "build_frame", no_build)
         assert run(["approx", *argv, "--out", str(tmp_path)]) == 1
         assert parameter in capsys.readouterr().err
+        assert not (tmp_path / "approx.csv").exists()
+
+    def test_nterm_accepts_p_above_q(self, tmp_path, monkeypatch):
+        # the n-term rule is defined for p > q, so the run reaches the build
+        from radial_gabor import cli
+
+        class Built(Exception):
+            pass
+
+        def build(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(cli, "build_frame", build)
+        with pytest.raises(Built):
+            run(["approx", "--p", "4", "--q", "2", "--no-baseline", "--out", str(tmp_path)])
+
+    def test_unconverged_dual_exit_code(self, tmp_path, capsys):
+        code = run(
+            ["approx", "--d", "2", "--J", "6", "--n-points", "512", "--n-list", "0,2,8,16",
+             "--no-baseline", "--max-iter", "3", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("non-convergence: ")
         assert not (tmp_path / "approx.csv").exists()
 
     def test_nterm_slope_skips_solver_floor(self, tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Radial profile grid, inner product and CSV interchange tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +151,21 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             RadialProfile(2, np.array([0.1, 0.2]), np.array([np.nan, 0.0]), np.ones(2))
 
+    def test_grid_size_must_fill_panels(self):
+        # five radii fill no 8-node panel, so no theta_max fits them
+        with pytest.raises(ValueError, match="panel size"):
+            RadialProfile(2, np.linspace(0.1, 2.0, 5), np.ones(5), np.ones(5))
+
+    def test_radii_must_be_composite_grid(self):
+        p = make_profile(2, 6.0, 64, GaussianSpec(1.0))
+        assert p.theta_max == pytest.approx(6.0, rel=1e-15)
+        with pytest.raises(ValueError, match="Gauss-Legendre"):
+            RadialProfile(2, np.linspace(0.1, 6.0, 64), p.values, p.weights)
+        moved = p.radii.copy()
+        moved[7] += 1e-6
+        with pytest.raises(ValueError, match="Gauss-Legendre"):
+            RadialProfile(2, moved, p.values, p.weights)
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -223,3 +242,39 @@ class TestSplineDtype:
         out = q.evaluate(self.theta)
         assert not np.iscomplexobj(out)
         assert np.max(np.abs(out - p.evaluate(self.theta).real)) < 1e-4
+
+
+class TestSplineImport:
+    """scipy.interpolate is loaded by the first spline evaluation, not by
+    the import: Gaussian-window pipelines never need it."""
+
+    SCRIPT = """
+import sys
+import numpy as np
+import radial_gabor as rg
+
+window = rg.normalized_gaussian_window(2, 8.0, 256)
+fr = rg.build_frame(window, rg.LatticeSpec(0.5, 0.5, 2, 3))
+target = rg.make_profile(2, 8.0, 256, rg.GaussianSpec(2.0))
+assert rg.reconstruct(target, fr, tol=1e-4).converged
+print("scipy.interpolate" in sys.modules)
+rg.profile_to_csv(window, sys.argv[1])
+loaded = rg.profile_from_csv(sys.argv[1], 2)
+theta = np.linspace(0.0, 3.0, 13)
+print(np.max(np.abs(loaded.evaluate(theta) - window.evaluate(theta))))
+print("scipy.interpolate" in sys.modules)
+"""
+
+    def test_gaussian_pipeline_leaves_interpolate_unloaded(self, tmp_path):
+        import radial_gabor
+
+        src = str(Path(radial_gabor.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "window.csv")],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert out[0] == "False"
+        assert float(out[1]) < 1e-5  # the CSV window still evaluates, by a spline on 256 points
+        assert out[2] == "True"
