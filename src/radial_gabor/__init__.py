@@ -31,14 +31,12 @@ from .embeddings import (
     sigma_tail,
 )
 from .frames import (
-    CalibrationResult,
     CoeffSeq,
     FrameSystem,
     NonConvergence,
     ReconstructionResult,
     analyze,
     build_frame,
-    calibrate_steps,
     coeffs_to_csv,
     frame_bounds,
     frame_operator,

@@ -42,7 +42,6 @@ __all__ = [
     "FrameSystem",
     "ReconstructionResult",
     "NonConvergence",
-    "CalibrationResult",
     "worker_count",
     "build_frame",
     "analyze",
@@ -50,7 +49,6 @@ __all__ = [
     "frame_operator",
     "reconstruct",
     "frame_bounds",
-    "calibrate_steps",
     "coeffs_to_csv",
 ]
 
@@ -131,7 +129,8 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
     (``_averaged_shift_values``, ``_gaussian_shift_values``); the -ell row
     carries the conjugate half-phase.  Rings are independent and run on a
     small thread pool; results are deterministic because every profile is
-    stored by index.
+    stored by index.  A ValueError naming d rejects atoms whose values are
+    not finite (the kernels overflow in high dimensions).
     """
     if norm(window) == 0.0:
         raise ValueError("frame window must be nonzero")
@@ -173,6 +172,9 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         list(pool.map(fill_ring, range(len(ring_starts) - 1)))
+    bad = np.count_nonzero(~np.isfinite(matrix.view(float)).all(axis=1))
+    if bad:
+        raise ValueError(f"{bad} of {n_atoms} atoms have non-finite values at d = {spec.d}")
     return FrameSystem(window=window, spec=spec, table=table, atom_matrix=matrix, normalized=normalized)
 
 
@@ -235,10 +237,11 @@ def reconstruct(
     and the best reconstruction, so the recorded error history is
     non-increasing by construction.
 
-    Iteration stops once the L2 reconstruction residual drops to
-    tol * norm(f), or at max_iter with ``converged`` False (the best
-    iterate is still returned; persistent failure indicates steps (a, b)
-    outside the empirical frame regime).
+    Iteration stops once the returned iterate's relative L2 error is at
+    most tol (so ``converged`` implies ``relative_error <= tol``), or at
+    max_iter with ``converged`` False (the best iterate is still returned;
+    persistent failure indicates steps (a, b) outside the empirical frame
+    regime).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -269,15 +272,19 @@ def reconstruct(
         r = r - alpha * gp
         history.append(_l2_norm(fr, synth_gamma - f.values) / f_norm)
         if history[-1] <= tol:
-            converged = True
-            break
+            # the running T gamma drifts by rounding; stop on the iterate's own error
+            recon_values = fr._synthesize_values(gamma)
+            converged = _l2_norm(fr, recon_values - f.values) / f_norm <= tol
+            if converged:
+                break
         rr_next = np.vdot(r, r).real
         if rr_next <= 0.0:
             break
         p = r + (rr_next / rr) * p
         rr = rr_next
 
-    recon_values = fr._synthesize_values(gamma)
+    if not converged:
+        recon_values = fr._synthesize_values(gamma)
     recon = fr.window.with_values(recon_values)
     rel_err = _l2_norm(fr, recon_values - f.values) / f_norm
     return ReconstructionResult(recon, rel_err, converged, iterations, _all_rows(fr, gamma), np.asarray(history))
@@ -312,49 +319,17 @@ def _test_subspace(fr: FrameSystem, test_dim: int) -> np.ndarray:
 
 
 def frame_bounds(fr: FrameSystem, test_dim: int = 6) -> tuple[float, float]:
-    """Extreme Rayleigh quotients (A, B) of the frame operator over the
-    test subspace: the extreme eigenvalues of its compression to that
-    subspace, from one dense Hermitian eigensolve."""
+    """Range (A, B) of the Rayleigh quotient <S f, f> / ||f||^2 over the
+    test subspace: the extreme eigenvalues of the Gram conj(C) C^T, whose
+    (i, j) entry is <S e_j, e_i> when row i of C holds the frame
+    coefficients of test basis vector e_i.  These are inner estimates that
+    depend on the subspace: A is an upper estimate of the frame's lower
+    bound and B a lower estimate of its upper bound."""
     if test_dim < 1 or test_dim > len(fr):
         raise ValueError("test_dim must be in [1, number of atoms]")
-    basis = _test_subspace(fr, test_dim)
-    images = np.array([fr._synthesize_values(fr._analyze_values(e)) for e in basis])
-    area = sphere_area(fr.window.dim)
-    m = area * (np.conj(basis) @ (fr.window.weights[:, None] * images.T))
-    lo, hi = np.linalg.eigvalsh(0.5 * (m + np.conj(m.T)))[[0, -1]]
+    coeffs = np.array([fr._analyze_values(e) for e in _test_subspace(fr, test_dim)])
+    lo, hi = np.linalg.eigvalsh(np.conj(coeffs) @ coeffs.T)[[0, -1]]
     return float(lo), float(hi)
-
-
-# frame-bound ratio B/A above which a step counts as outside the frame regime
-_RATIO_CAP = 100.0
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    step: float
-    lower: float
-    upper: float
-    tried: tuple[float, ...]
-
-
-def calibrate_steps(
-    window: RadialProfile,
-    d: int,
-    jk_max: int,
-    candidates: tuple[float, ...] = (1.0, 0.75, 0.5, 0.35, 0.25),
-    test_dim: int = 6,
-) -> CalibrationResult | None:
-    """Scan equal steps a = b over ``candidates`` (descending) and return
-    the largest one whose empirical frame-bound ratio stays below
-    _RATIO_CAP on the test subspace; None when all fail."""
-    tried = []
-    for step in sorted(candidates, reverse=True):
-        tried.append(step)
-        fr = build_frame(window, LatticeSpec(a=step, b=step, d=d, jk_max=jk_max), normalized=True)
-        lo, hi = frame_bounds(fr, test_dim)
-        if lo > 0.0 and hi / lo < _RATIO_CAP:
-            return CalibrationResult(step, lo, hi, tuple(tried))
-    return None
 
 
 def coeffs_to_csv(coeffs: CoeffSeq, path: str | Path) -> None:

@@ -132,8 +132,8 @@ class RadialProfile:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "theta_max", _grid_theta_max(radii))
 
-    def with_values(self, values: np.ndarray, analytic=None) -> "RadialProfile":
-        return RadialProfile(self.dim, self.radii, values, self.weights, analytic)
+    def with_values(self, values: np.ndarray) -> "RadialProfile":
+        return RadialProfile(self.dim, self.radii, values, self.weights)
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate at arbitrary radii: analytic form when present, else a

@@ -69,6 +69,13 @@ class TestBuildFrame:
         with pytest.raises(ValueError):
             build_frame(zero, LatticeSpec(a=0.5, b=0.5, d=2, jk_max=2))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejects_non_finite_atoms_naming_d(self):
+        # the Gaussian kernel overflows on some atoms at d = 160, J = 8
+        window = normalized_gaussian_window(160)
+        with pytest.raises(ValueError, match="d = 160"):
+            build_frame(window, LatticeSpec(a=0.5, b=0.5, d=160, jk_max=8))
+
     def test_complex_window_conjugate_pairs_still_exact(self):
         # a complex window: its -ell atom is not the conjugate of the +ell one;
         # spot-check one ring against direct integration at -c
@@ -262,6 +269,18 @@ class TestReconstruct:
         )
         res = reconstruct(f, frame8, tol=1e-8, max_iter=200)
         assert np.all(np.diff(res.error_history) <= 1e-12)
+
+    def test_converged_implies_error_within_tol(self):
+        # the running T gamma drifts from the iterate's own synthesis by
+        # rounding; with tol set to each running-history value in turn, a
+        # converged result must still report relative_error <= tol
+        fr = build_frame(normalized_gaussian_window(2), LatticeSpec(a=0.5, b=0.5, d=2, jk_max=6))
+        f = make_profile(2, 8.0, 1024, GaussianSpec(2.0 * math.pi))
+        history = reconstruct(f, fr, tol=1e-300, max_iter=60).error_history
+        assert history.size == 60
+        for tol in history.tolist():
+            res = reconstruct(f, fr, tol=tol, max_iter=2000)
+            assert not res.converged or res.relative_error <= tol, (tol, res.relative_error)
 
     def test_invalid_tolerance(self, frame8):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Worker configuration, step calibration and assorted surface checks."""
+"""Worker configuration and assorted surface checks."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from scipy import special
 
 from radial_gabor.bessel import sph_bessel_values
-from radial_gabor.frames import build_frame, calibrate_steps, worker_count
+from radial_gabor.frames import build_frame, worker_count
 from radial_gabor.lattice import LatticeSpec
 from radial_gabor.profiles import normalized_gaussian_window
 
@@ -50,12 +50,3 @@ class TestHighDimensionFallback:
         ])
         assert np.max(np.abs(vec - ref)) < 1e-12
 
-
-class TestCalibration:
-    def test_reference_step_accepted(self):
-        window = normalized_gaussian_window(2)
-        result = calibrate_steps(window, d=2, jk_max=6, candidates=(1.0, 0.5), test_dim=4)
-        assert result is not None
-        assert result.step in (1.0, 0.5)
-        assert result.upper / result.lower < 100.0
-        assert result.tried[0] == 1.0
