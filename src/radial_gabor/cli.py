@@ -52,6 +52,10 @@ WINDOWS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        # no abbreviated flags: "--conf" would slip past the --config scan
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str) -> None:  # argparse default exits 2
         self.exit(1, f"{self.prog}: error: {message}\n")
 
@@ -67,7 +71,7 @@ def _window_profile(name: str, d: int, theta_max: float, n_points: int) -> Radia
 def _json_text(payload: dict) -> str:
     def fix(v):
         if isinstance(v, float) and math.isinf(v):
-            return "inf"
+            return str(v)  # "inf" or "-inf"
         return v
 
     return json.dumps({k: fix(v) for k, v in payload.items()}) + "\n"
@@ -317,15 +321,16 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
-    """Read a flat key=value file named by --config and turn it into
-    defaults; explicit flags still win."""
+    """Read a flat key=value file named by --config FILE or --config=FILE
+    and turn it into defaults; explicit flags still win."""
+    argv = [part for arg in argv for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    if idx + 1 >= len(argv) or not argv[idx + 1]:
         raise ValueError("parameter config: missing file name")
     path = Path(argv[idx + 1])
-    if not path.exists():
+    if not path.is_file():
         raise ValueError(f"parameter config: no such file {path}")
     extra: list[str] = []
     for line_no, line in enumerate(path.read_text().splitlines(), start=1):

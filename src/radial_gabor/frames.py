@@ -243,8 +243,10 @@ def reconstruct(
     persistent failure indicates steps (a, b) outside the empirical frame
     regime).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"parameter tol: must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"parameter max_iter: must be at least 1, got {max_iter}")
     _check_compatible(f, fr.window)
     f_norm = norm(f)
     if f_norm == 0.0:

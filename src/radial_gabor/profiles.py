@@ -1,9 +1,10 @@
 """Radial functions on a shared quadrature grid and the L2 inner product
 of their rotation-invariant extensions to R^d.
 
-A ``RadialProfile`` stores complex samples of the radial part f0 on a
-composite Gauss-Legendre grid over [0, theta_max] together with quadrature
-weights that already contain the theta^(d-1) surface factor, so that
+A ``RadialProfile`` is (dim, theta_max, values): complex samples of the
+radial part f0 on a composite Gauss-Legendre grid over [0, theta_max].
+Its radii and quadrature weights follow from that grid, and the weights
+already contain the theta^(d-1) surface factor, so that
 
     <f, g> = |S^(d-1)| * sum_n w_n f0(theta_n) conj(g0(theta_n)).
 
@@ -15,7 +16,6 @@ theta_max.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import os
 import secrets
@@ -81,8 +81,8 @@ def make_grid(theta_max: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (radii, base_weights); base_weights do not yet include the
     theta^(d-1) factor.  n_points is rounded up to a multiple of 8.
     """
-    if theta_max <= 0.0:
-        raise ValueError("theta_max must be positive")
+    if not (math.isfinite(theta_max) and theta_max > 0.0):
+        raise ValueError("theta_max must be finite and positive")
     if n_points < 16:
         raise ValueError("n_points must be >= 16")
     panels = -(-n_points // PANEL_NODES)
@@ -95,45 +95,39 @@ def make_grid(theta_max: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Samples of a radial function on a fixed quadrature grid.
+    """Samples of a radial function on the composite grid
+    ``make_grid(theta_max, values.size)``.
 
-    ``radii`` must be a composite grid ``make_grid(theta_max, n)``, whose
-    ``theta_max`` the profile carries; ``weights`` implement integration
-    against theta^(d-1) d theta on [0, theta_max]; ``analytic`` optionally
-    tags a closed-form evaluator used for off-grid evaluation.
+    ``radii`` and ``weights`` follow from the grid; the weights implement
+    integration against theta^(d-1) d theta on [0, theta_max].
+    ``analytic`` optionally tags a closed-form evaluator used for off-grid
+    evaluation.
     """
 
     dim: int
-    radii: np.ndarray
+    theta_max: float
     values: np.ndarray
-    weights: np.ndarray
     analytic: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _spline: list = field(default_factory=list, repr=False, compare=False)
-    theta_max: float = field(init=False, repr=False, compare=False)
+    radii: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError("RadialProfile requires dim >= 2")
-        radii = np.asarray(self.radii, dtype=float)
-        if radii.ndim != 1 or radii.size < 2:
-            raise ValueError("radii must be a 1-d grid")
-        if radii[0] < 0.0 or np.any(np.diff(radii) <= 0.0):
-            raise ValueError("radii must be nonnegative and strictly increasing")
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.shape != radii.shape or np.any(weights < 0.0):
-            raise ValueError("weights must be nonnegative and match the grid")
         values = np.asarray(self.values, dtype=complex)
-        if values.shape != radii.shape:
-            raise ValueError("values must match the grid")
+        if values.ndim != 1 or values.size == 0 or values.size % PANEL_NODES != 0:
+            raise ValueError("values must be 1-d and fill whole 8-node panels")
         if not np.all(np.isfinite(values.view(float))):
             raise ValueError("values must be finite")
-        object.__setattr__(self, "radii", radii)
+        radii, base = make_grid(self.theta_max, values.size)
+        object.__setattr__(self, "theta_max", float(self.theta_max))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "theta_max", _grid_theta_max(radii))
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "weights", base * radii ** (self.dim - 1))
 
     def with_values(self, values: np.ndarray) -> "RadialProfile":
-        return RadialProfile(self.dim, self.radii, values, self.weights)
+        return RadialProfile(self.dim, self.theta_max, values)
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate at arbitrary radii: analytic form when present, else a
@@ -156,25 +150,22 @@ class RadialProfile:
         return np.where(theta <= self.theta_max, out, 0.0)
 
 
-@functools.lru_cache(maxsize=16)
-def _unit_grid(n_points: int) -> np.ndarray:
-    """Read-only radii of make_grid(1.0, n_points), the grid check's reference."""
-    radii = make_grid(1.0, n_points)[0]
-    radii.setflags(write=False)
-    return radii
-
-
 def _grid_theta_max(radii: np.ndarray) -> float:
-    """theta_max of a composite grid, checked: the size n must be a positive
-    multiple of PANEL_NODES and ``radii`` must equal make_grid(theta_max, n)."""
+    """The theta_max for which make_grid(theta_max, radii.size) rebuilds
+    ``radii`` bit for bit: the value read back from the last radius or one
+    within 4 ulps of it, nearest first."""
     n = radii.size
     if n == 0 or n % PANEL_NODES != 0:
         raise ValueError("grid size is not a positive multiple of the panel size")
     panels = n // PANEL_NODES
-    theta_max = float(radii[-1] / ((panels - 1.0 + 0.5 * (_GL8_X[-1] + 1.0)) / panels))
-    if not np.abs(radii - theta_max * _unit_grid(n)).max() <= 1e-9 * theta_max:
-        raise ValueError("radii are not a composite Gauss-Legendre grid")
-    return theta_max
+    read_back = float(radii[-1] / ((panels - 1.0 + 0.5 * (_GL8_X[-1] + 1.0)) / panels))
+    near = [read_back, read_back]
+    for _ in range(4):
+        near += [np.nextafter(near[-2], 0.0), np.nextafter(near[-1], math.inf)]
+    for theta_max in near:
+        if 0.0 < read_back < math.inf and np.array_equal(make_grid(theta_max, n)[0], radii):
+            return float(theta_max)
+    raise ValueError("radii are not a composite Gauss-Legendre grid")
 
 
 def make_profile(
@@ -183,12 +174,9 @@ def make_profile(
     n_points: int,
     evaluator: Callable[[np.ndarray], np.ndarray],
 ) -> RadialProfile:
-    """Sample ``evaluator`` on the composite Gauss-Legendre grid and attach
-    weights for integration against theta^(d-1)."""
-    radii, base = make_grid(theta_max, n_points)
-    weights = base * radii ** (d - 1)
-    values = np.asarray(evaluator(radii), dtype=complex)
-    return RadialProfile(d, radii, values, weights, analytic=evaluator)
+    """Sample ``evaluator`` on the composite Gauss-Legendre grid."""
+    radii = make_grid(theta_max, n_points)[0]
+    return RadialProfile(d, theta_max, evaluator(radii), analytic=evaluator)
 
 
 def _check_compatible(f: RadialProfile, g: RadialProfile) -> None:
@@ -255,8 +243,8 @@ def profile_to_csv(profile: RadialProfile, path: str | Path) -> None:
 def profile_from_csv(path: str | Path, d: int) -> RadialProfile:
     """Load a profile exported by ``profile_to_csv``.
 
-    The radius column must be a composite Gauss-Legendre grid, otherwise
-    the quadrature weights cannot be reconstructed.
+    The radius column must be a composite Gauss-Legendre grid; the profile
+    lives on the grid that rebuilds it bit for bit.
     """
     raw = Path(path).read_text().strip().splitlines()
     if not raw or raw[0].strip() != "theta,re,im":
@@ -264,5 +252,4 @@ def profile_from_csv(path: str | Path, d: int) -> RadialProfile:
     rows = [line.split(",") for line in raw[1:]]
     radii = np.array([float(r[0]) for r in rows])
     values = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-    rebuilt, base = make_grid(_grid_theta_max(radii), radii.size)
-    return RadialProfile(d, rebuilt, values, base * rebuilt ** (d - 1))
+    return RadialProfile(d, _grid_theta_max(radii), values)

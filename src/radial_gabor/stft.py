@@ -119,9 +119,8 @@ def _shifted_window_samples(
     cos_phi = np.cos(phi)
     sin_phi = np.sin(phi)
     theta = window.radii[:, None]
+    # (theta - r cos phi)^2 + (r sin phi)^2 expanded; the clamp absorbs rounding
     radicand = theta**2 - 2.0 * r * theta * cos_phi[None, :] + r * r
-    if (radicand < -1e-12 * max(1.0, r * r)).any():
-        raise FloatingPointError("shift argument radicand is significantly negative")
     fvals = window.evaluate(np.sqrt(np.maximum(radicand, 0.0)))
     return fvals, cos_phi, sin_phi, w_phi
 

@@ -57,6 +57,10 @@ class TestEmbed:
         assert payload["q"] == "inf"
         assert payload["status"] == "Compact"
 
+    def test_negative_infinity_serialized(self, tmp_path, capsys):
+        assert run(["embed", "--p", "1", "--q", "2", "--s=-inf", "--t", "0", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "embed.json").read_text())["s"] == "-inf"
+
     def test_borderline_continuous(self, tmp_path, capsys):
         run(["embed", "--p", "1", "--q", "2", "--s", "0", "--t", "0.5", "--d", "2",
              "--out", str(tmp_path)])
@@ -124,6 +128,16 @@ class TestFrame:
         lines = (tmp_path / "frame_coeffs.csv").read_text().strip().splitlines()
         assert lines[0] == "j,k,ell,re,im"
         assert len(lines) - 1 == index_count(6)
+
+    @pytest.mark.parametrize(
+        "flag,value,parameter",
+        [("--tol", "nan", "tol"), ("--tol", "inf", "tol"),
+         ("--max-iter", "0", "max_iter"), ("--max-iter", "-5", "max_iter")],
+    )
+    def test_rejected_solver_parameter(self, flag, value, parameter, tmp_path, capsys):
+        assert run(["frame", "--J", "4", f"{flag}={value}", "--out", str(tmp_path)]) == 1
+        assert f"parameter {parameter}" in capsys.readouterr().err
+        assert not (tmp_path / "frame_summary.json").exists()
 
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         code = run(
@@ -320,6 +334,20 @@ class TestConfigFile:
             ["lattice", "--config", str(config), "--J", "5", "--out", str(out2)]
         ) == 0
         assert len((out2 / "lattice.csv").read_text().strip().splitlines()) - 1 == index_count(5)
+
+    def test_config_equals_form(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("J=3\n")
+        assert run(["lattice", f"--config={config}", "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "lattice.csv").read_text().strip().splitlines()) - 1 == index_count(3)
+
+    def test_abbreviated_flag_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("J=3\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["lattice", "--conf", str(config), "--out", str(tmp_path)])
+        assert exc.value.code == 1
+        assert not (tmp_path / "lattice.csv").exists()
 
     def test_missing_config_exit(self, tmp_path):
         assert run(["lattice", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1

@@ -286,6 +286,16 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(frame8.window, frame8, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, frame8, tol):
+        with pytest.raises(ValueError, match="parameter tol"):
+            reconstruct(frame8.window, frame8, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_below_one_rejected(self, frame8, max_iter):
+        with pytest.raises(ValueError, match="parameter max_iter"):
+            reconstruct(frame8.window, frame8, max_iter=max_iter)
+
     @pytest.mark.parametrize("d,window,target", [(2, "normalized", "gauss2"), (3, "gauss", "gauss2")])
     def test_error_history_matches_direct_recomputation(self, d, window, target):
         # the loop tracks T gamma by updates; the k-th entry must agree with

@@ -14,7 +14,9 @@ from radial_gabor.profiles import (
     GaussianSpec,
     GridMismatchError,
     RadialProfile,
+    _write_csv,
     inner,
+    make_grid,
     make_profile,
     norm,
     normalized_gaussian_window,
@@ -22,6 +24,7 @@ from radial_gabor.profiles import (
     profile_to_csv,
     sphere_area,
 )
+from radial_gabor.stft import phi_node_count
 
 
 class TestSphereArea:
@@ -140,31 +143,41 @@ class TestInnerNorm:
 
 class TestProfileValidation:
     def test_dim_must_be_at_least_two(self):
-        with pytest.raises(ValueError):
-            RadialProfile(1, np.array([0.1, 0.2]), np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError, match="dim"):
+            RadialProfile(1, 1.0, np.zeros(16))
 
-    def test_radii_must_increase(self):
-        with pytest.raises(ValueError):
-            RadialProfile(2, np.array([0.2, 0.1]), np.zeros(2), np.ones(2))
+    def test_radii_and_weights_follow_the_grid(self):
+        p = make_profile(3, 6.0, 64, GaussianSpec(1.0))
+        q = RadialProfile(3, 6.0, p.values)
+        radii, base = make_grid(6.0, 64)
+        assert np.array_equal(q.radii, radii) and np.array_equal(p.radii, radii)
+        assert np.array_equal(q.weights, base * radii**2) and np.array_equal(p.weights, q.weights)
+        assert np.array_equal(p.with_values(2 * p.values).weights, p.weights)
 
     def test_values_must_be_finite(self):
-        with pytest.raises(ValueError):
-            RadialProfile(2, np.array([0.1, 0.2]), np.array([np.nan, 0.0]), np.ones(2))
+        values = np.zeros(16, dtype=complex)
+        values[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            RadialProfile(2, 1.0, values)
 
     def test_grid_size_must_fill_panels(self):
-        # five radii fill no 8-node panel, so no theta_max fits them
-        with pytest.raises(ValueError, match="panel size"):
-            RadialProfile(2, np.linspace(0.1, 2.0, 5), np.ones(5), np.ones(5))
+        # five values fill no 8-node panel; a 2-d array is no profile
+        for values in (np.ones(5), np.ones((2, 8))):
+            with pytest.raises(ValueError, match="8-node panels"):
+                RadialProfile(2, 2.0, values)
 
-    def test_radii_must_be_composite_grid(self):
+    @pytest.mark.parametrize("theta_max", [math.nan, math.inf, -1.0, 0.0])
+    def test_theta_max_must_be_finite_and_positive(self, theta_max):
+        with pytest.raises(ValueError, match="theta_max"):
+            RadialProfile(2, theta_max, np.ones(16))
+        with pytest.raises(ValueError, match="theta_max"):
+            make_grid(theta_max, 64)
+
+    def test_theta_max_is_the_requested_value(self):
+        # the grid's last radius reads back as 6.000000000000001 here
         p = make_profile(2, 6.0, 64, GaussianSpec(1.0))
-        assert p.theta_max == pytest.approx(6.0, rel=1e-15)
-        with pytest.raises(ValueError, match="Gauss-Legendre"):
-            RadialProfile(2, np.linspace(0.1, 6.0, 64), p.values, p.weights)
-        moved = p.radii.copy()
-        moved[7] += 1e-6
-        with pytest.raises(ValueError, match="Gauss-Legendre"):
-            RadialProfile(2, moved, p.values, p.weights)
+        assert p.theta_max == 6.0
+        assert phi_node_count(p.theta_max, 3.0, 1.5) == 224
 
 
 class TestCsvRoundTrip:
@@ -178,6 +191,41 @@ class TestCsvRoundTrip:
         assert np.allclose(q.radii, p.radii, atol=1e-12)
         assert np.allclose(q.values, p.values, atol=1e-12)
         assert np.allclose(q.weights, p.weights, atol=1e-12)
+        assert q.theta_max == p.theta_max
+        assert inner(p, q) == pytest.approx(inner(p, p), rel=1e-14)
+
+    @pytest.mark.parametrize("theta_max", [5.0, 6.0, 7.3, 8.0, 10.0, 12.0])
+    @pytest.mark.parametrize("n", [64, 256, 1000, 1024, 2048])
+    def test_reads_back_onto_its_own_grid(self, tmp_path, theta_max, n):
+        p = make_profile(3, theta_max, n, GaussianSpec(0.5))
+        profile_to_csv(p, tmp_path / "profile.csv")
+        q = profile_from_csv(tmp_path / "profile.csv", 3)
+        assert q.theta_max == p.theta_max
+        assert np.array_equal(q.radii, p.radii)
+        inner(p, q)  # same grid, so no GridMismatchError
+
+    def test_rejects_reversed_radii(self, tmp_path):
+        p = make_profile(2, 6.0, 64, GaussianSpec(1.0))
+        reversed_profile = tmp_path / "reversed.csv"
+        _write_csv(reversed_profile, "theta,re,im", [p.radii[::-1], p.values.real, p.values.imag])
+        with pytest.raises(ValueError, match="Gauss-Legendre"):
+            profile_from_csv(reversed_profile, 2)
+
+    def test_rejects_non_grid_radii(self, tmp_path):
+        p = make_profile(2, 6.0, 64, GaussianSpec(1.0))
+        moved = p.radii.copy()
+        moved[7] += 1e-6
+        for radii in (np.linspace(0.1, 6.0, 64), moved):
+            path = tmp_path / "moved.csv"
+            _write_csv(path, "theta,re,im", [radii, p.values.real, p.values.imag])
+            with pytest.raises(ValueError, match="Gauss-Legendre"):
+                profile_from_csv(path, 2)
+
+    def test_rejects_partial_panel(self, tmp_path):
+        path = tmp_path / "short.csv"
+        _write_csv(path, "theta,re,im", [np.linspace(0.1, 2.0, 5), np.ones(5), np.zeros(5)])
+        with pytest.raises(ValueError, match="panel size"):
+            profile_from_csv(path, 2)
 
     def test_rejects_foreign_grid(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -195,8 +243,6 @@ class TestCsvRoundTrip:
     def test_writer_row_format(self, tmp_path):
         # integers print as integers, floats with 17 significant digits,
         # numpy and Python scalars alike; no rows leaves the header alone
-        from radial_gabor.profiles import _write_csv
-
         path = tmp_path / "rows.csv"
         _write_csv(path, "n,x,y", [np.array([0, 12]), np.array([0.1, -2.5e-300]), [math.nan, 1 / 3]])
         rows = ["n,x,y", "0,0.10000000000000001,nan", "12,-2.5e-300,0.33333333333333331"]
