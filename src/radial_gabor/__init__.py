@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .approximation import (
     ApproxReport,
-    count_above,
     gabor_baseline_2d,
     linear_approx,
     nterm_approx,
@@ -19,14 +18,12 @@ from .embeddings import (
     EmbeddingQuery,
     EmbeddingStatus,
     EmbeddingVerdict,
-    PgqDiagnostic,
     approx_number_exponent,
     carl_exponent,
     classify_embedding,
     entropy_exponent,
     fit_decay_slope,
     h_sequence,
-    pgq_diagnostic,
     rearrange,
     sigma_tail,
 )
@@ -52,7 +49,6 @@ from .lattice import (
     index_count,
     lattice_table,
     lattice_to_csv,
-    measure_weight,
 )
 from .profiles import (
     GaussianSpec,

@@ -29,7 +29,6 @@ __all__ = [
     "nterm_greedy",
     "standard_gabor_coefficients",
     "gabor_baseline_2d",
-    "count_above",
 ]
 
 
@@ -301,8 +300,3 @@ def gabor_baseline_2d(f: GaussianSpec, g: GaussianSpec, a: float, b: float, n_li
 
     slope = _fitted_slope(n_values, errors, 1e-10)
     return ApproxReport(tuple(n_values), tuple(errors), slope, math.nan)
-
-
-def count_above(values, eps: float) -> int:
-    """Number of coefficients with magnitude above eps."""
-    return int(np.sum(np.abs(np.asarray(values)).ravel() > eps))

@@ -137,7 +137,8 @@ def _cmd_frame(args) -> int:
 
 def _cmd_embed(args) -> int:
     query = EmbeddingQuery(p=args.p, q=args.q, s=args.s, t=args.t, d=args.d)
-    verdict = classify_embedding(query)  # rejects p > q
+    verdict = classify_embedding(query)
+    embedded = args.p <= args.q  # no decay exponents without an embedding
     payload = {
         "p": args.p,
         "q": args.q,
@@ -147,8 +148,8 @@ def _cmd_embed(args) -> int:
         "status": verdict.status.value,
         "alpha": float(verdict.alpha),
         "threshold": float(verdict.threshold),
-        "entropy_decay": float(entropy_exponent(args.p, args.q, 3.0 / (args.d - 1))),
-        "approx_decay": float(approx_number_exponent(args.p, args.q, args.d)),
+        "entropy_decay": float(entropy_exponent(args.p, args.q, 3.0 / (args.d - 1))) if embedded else None,
+        "approx_decay": float(approx_number_exponent(args.p, args.q, args.d)) if embedded else None,
     }
     text = _json_text(payload)
     _write_text(Path(args.out) / "embed.json", text)
@@ -189,8 +190,8 @@ def _cmd_approx(args) -> int:
 def _cmd_covering(args) -> int:
     if args.num_points < 1:
         raise ValueError(f"parameter num_points: must be positive, got {args.num_points}")
-    if not args.box > 0:
-        raise ValueError(f"parameter box: must be positive, got {args.box}")
+    if not 0 < args.box < math.inf:
+        raise ValueError(f"parameter box: must be positive and finite, got {args.box}")
     spec = LatticeSpec(a=args.a, b=args.b, d=2, jk_max=args.J)
     rng = np.random.default_rng(args.seed)
     pts = rng.uniform(-args.box, args.box, size=(args.num_points, 4))

@@ -2,11 +2,12 @@
 with the sequence-space machinery behind it.
 
 The source and target spaces carry weights (1 + |omega|)^s and
-(1 + |omega|)^t; with alpha = 1/p - 1/q the embedding is continuous iff
-t - s <= alpha (d - 1) and compact iff additionally p < q and the
-inequality is strict.  All exponent arithmetic is written so that exact
-rational inputs (``fractions.Fraction``) pass through unharmed, and
-p = infinity or q = infinity contribute 1/inf = 0 exactly.
+(1 + |omega|)^t; with alpha = 1/p - 1/q and p <= q the embedding is
+continuous iff t - s <= alpha (d - 1) and compact iff additionally p < q
+and the inequality is strict.  For p > q nothing embeds at any s, t, d
+(see ``classify_embedding``).  All exponent arithmetic is written so
+that exact rational inputs (``fractions.Fraction``) pass through
+unharmed, and p = infinity or q = infinity contribute 1/inf = 0 exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from enum import Enum
 import numpy as np
 
 from .lattice import LatticeTable
-from .profiles import sphere_area
 
 __all__ = [
     "EmbeddingStatus",
@@ -30,8 +30,6 @@ __all__ = [
     "carl_exponent",
     "entropy_exponent",
     "approx_number_exponent",
-    "PgqDiagnostic",
-    "pgq_diagnostic",
     "sigma_tail",
     "fit_decay_slope",
 ]
@@ -69,6 +67,11 @@ class EmbeddingQuery:
     def __post_init__(self) -> None:
         _validate_exponent(self.p, "p")
         _validate_exponent(self.q, "q")
+        for name in ("s", "t"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"parameter {name}: must be a number, got nan")
+        if math.isnan(self.t - self.s):
+            raise ValueError(f"parameters s, t: t - s is undefined at s = t = {self.s}")
         if self.d < 2:
             raise ValueError("d must be >= 2")
 
@@ -81,15 +84,16 @@ class EmbeddingVerdict:
 
 
 def classify_embedding(query: EmbeddingQuery) -> EmbeddingVerdict:
-    """Exact-arithmetic embedding decision for p <= q.
+    """Exact-arithmetic embedding decision for every (p, q).
 
-    For p > q the sequence-space route is integral-based; use
-    ``pgq_diagnostic``.
+    For p > q nothing embeds (threshold -inf): ``h_sequence``'s map is bounded
+    l^p -> l^q iff sum h^r < inf with 1/r = 1/q - 1/p, and on the k = 0
+    rings h^r = mu = j^(d-1) + 1 whatever s and t are, so the sum diverges.
     """
     p, q = query.p, query.q
-    if p > q:
-        raise ValueError("classify_embedding requires p <= q; use pgq_diagnostic for p > q")
     alpha = _inv(p) - _inv(q)
+    if p > q:
+        return EmbeddingVerdict(EmbeddingStatus.NOT_EMBEDDED, alpha, -math.inf)
     threshold = alpha * (query.d - 1)
     diff = query.t - query.s
     if diff > threshold:
@@ -161,45 +165,6 @@ def approx_number_exponent(p, q, d):
     if p > q:
         raise ValueError("approx_number_exponent requires p <= q")
     return (_inv(p) - _inv(q)) * (d - 1) / 3
-
-
-@dataclass(frozen=True)
-class PgqDiagnostic:
-    value: float
-    growth_ratio: float
-    beta: float
-
-
-def pgq_diagnostic(p: float, q: float, s: float, t: float, d: int, radius: float) -> PgqDiagnostic:
-    """Integral compactness diagnostic for the reversed exponent order
-    p > q, with beta = 1/q - 1/p.
-
-    Integrates ((1 + |x| + |omega|)^(t-s))^(1/beta) over |x|, |omega| <=
-    radius (the frequency-only weight family is never integrable here, so
-    the space variable must be punished as well).  Reduces to a 2-d radial
-    integral; the returned growth ratio value(R)/value(R/2) is ~1 for a
-    convergent tail and ~2^(2d) for a constant integrand.
-    """
-    _validate_exponent(p, "p")
-    _validate_exponent(q, "q")
-    if not p > q:
-        raise ValueError("pgq_diagnostic requires p > q")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    beta = float(_inv(q) - _inv(p))
-    gamma = (t - s) / beta
-
-    def value(rad: float) -> float:
-        nodes, weights = np.polynomial.legendre.leggauss(96)
-        u = 0.5 * rad * (nodes + 1.0)
-        wu = 0.5 * rad * weights
-        ring = wu * u ** (d - 1)
-        grid = (1.0 + u[:, None] + u[None, :]) ** gamma
-        return sphere_area(d) ** 2 * float(ring @ grid @ ring)
-
-    v_full = value(radius)
-    v_half = value(0.5 * radius)
-    return PgqDiagnostic(v_full, v_full / v_half, beta)
 
 
 def sigma_tail(b, n: int, q) -> float:

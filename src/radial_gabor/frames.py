@@ -310,14 +310,21 @@ def _test_subspace(fr: FrameSystem, test_dim: int) -> np.ndarray:
     """Orthonormal basis (rows) of span{theta^(2m) exp(-pi theta^2)}.
 
     One QR factorization of the basis weighted by sqrt(area * w): with
-    sqrt(area * w) V^T = Q R, the rows of R^-T V are orthonormal in L2."""
+    sqrt(area * w) V^T = Q R, the rows of R^-T V are orthonormal in L2 up
+    to the rounding that the monomials' conditioning amplifies, so their
+    Gram on the grid is checked against the identity."""
     theta = fr.window.radii
     raw = theta[None, :] ** (2 * np.arange(test_dim)[:, None]) * np.exp(-math.pi * theta**2)
     sw = np.sqrt(sphere_area(fr.window.dim) * fr.window.weights)
     r = np.linalg.qr((raw * sw).T, mode="r")
-    if np.any(np.abs(np.diag(r)) < 1e-13):
-        raise ValueError("test subspace degenerated; reduce test_dim")
-    return np.linalg.solve(r.T, raw)
+    basis = np.linalg.solve(r.T, raw)
+    error = np.max(np.abs((basis * sw**2) @ basis.T - np.eye(test_dim)))
+    if not error <= 1e-8:
+        raise ValueError(
+            f"parameter test_dim: the test basis is not orthonormal at test_dim = {test_dim} "
+            f"(Gram error {error:.1e}); reduce test_dim"
+        )
+    return basis
 
 
 def frame_bounds(fr: FrameSystem, test_dim: int = 6) -> tuple[float, float]:

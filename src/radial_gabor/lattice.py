@@ -25,7 +25,6 @@ __all__ = [
     "LatticeSpec",
     "LatticeTable",
     "angle_count",
-    "measure_weight",
     "lattice_table",
     "index_count",
     "covered_2d",
@@ -60,8 +59,9 @@ class LatticeSpec:
     jk_max: int = 8
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ValueError("lattice steps must be positive")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            name, step = ("a", self.a) if not 0.0 < self.a < math.inf else ("b", self.b)
+            raise ValueError(f"parameter {name}: lattice step must be positive and finite, got {step}")
         if self.d < 2:
             raise ValueError("dimension must be >= 2")
         if self.jk_max < 1:
@@ -112,14 +112,6 @@ def _mu(j: np.ndarray, k: np.ndarray, ell: np.ndarray, n: np.ndarray, d: int) ->
         jf ** (d - 1) + kf ** (d - 1) + 1.0,
         (jf + kf) * (jf * kf * np.cos(_half_angle(ell, n))) ** (d - 2),
     )
-
-
-def measure_weight(index: LatticeIndex | tuple[int, int, int], d: int) -> float:
-    """Orbit-neighborhood volume weight mu for one lattice index."""
-    if isinstance(index, tuple):
-        index = LatticeIndex(*index)
-    j, k, ell = (np.array([v]) for v in (index.j, index.k, index.ell))
-    return float(_mu(j, k, ell, np.array([angle_count(index.j, index.k)]), d)[0])
 
 
 @dataclass(frozen=True)

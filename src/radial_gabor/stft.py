@@ -75,10 +75,11 @@ class OrbitPoint:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.r < 0.0 or self.s < 0.0:
-            raise ValueError("orbit radii must be nonnegative")
-        if abs(self.c) > 1.0 + 1e-12:
-            raise ValueError("|c| must not exceed 1")
+        if not (0.0 <= self.r < math.inf and 0.0 <= self.s < math.inf):
+            name, radius = ("r", self.r) if not 0.0 <= self.r < math.inf else ("s", self.s)
+            raise ValueError(f"parameter {name}: orbit radius must be nonnegative and finite, got {radius}")
+        if not abs(self.c) <= 1.0 + 1e-12:
+            raise ValueError(f"parameter c: |c| must not exceed 1, got {self.c}")
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "s", float(self.s))
         c = min(1.0, max(-1.0, float(self.c)))

@@ -67,6 +67,25 @@ class TestEmbed:
         payload = json.loads((tmp_path / "embed.json").read_text())
         assert payload["status"] == "Continuous"
 
+    def test_p_above_q_not_embedded(self, tmp_path, capsys):
+        assert run(["embed", "--p", "2", "--q", "1", "--s", "0", "--t", "0", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "embed.json").read_text())
+        assert payload["status"] == "NotEmbedded"
+        assert payload["alpha"] == -0.5
+        assert payload["threshold"] == "-inf"
+        assert payload["entropy_decay"] is None and payload["approx_decay"] is None
+        assert json.loads(capsys.readouterr().out) == payload
+
+    @pytest.mark.parametrize(
+        "s,t,parameter",
+        [("nan", "0", "parameter s"), ("0", "nan", "parameter t"), ("inf", "inf", "parameters s, t")],
+        ids=["s-nan", "t-nan", "both-inf"],
+    )
+    def test_undefined_weight_difference_rejected(self, s, t, parameter, tmp_path, capsys):
+        assert run(["embed", "--p", "1", "--q", "2", "--s", s, "--t", t, "--out", str(tmp_path)]) == 1
+        assert parameter in capsys.readouterr().err
+        assert not (tmp_path / "embed.json").exists()
+
 
 class TestOmega:
     def test_figure_data_emission(self, tmp_path, capsys):
@@ -309,7 +328,7 @@ class TestCovering:
         assert "parameter num_points" in capsys.readouterr().err
         assert not (tmp_path / "covering.json").exists()
 
-    @pytest.mark.parametrize("box", ["0", "-5"])
+    @pytest.mark.parametrize("box", ["0", "-5", "inf"])
     def test_nonpositive_box_rejected(self, box, tmp_path, monkeypatch, capsys):
         from radial_gabor import cli
 
@@ -320,6 +339,25 @@ class TestCovering:
         assert run(["covering", "--box", box, "--num-points", "5", "--out", str(tmp_path)]) == 1
         assert "parameter box: must be positive" in capsys.readouterr().err
         assert not (tmp_path / "covering.json").exists()
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv,parameter,output",
+        [
+            (["lattice", "--a", "nan", "--J", "3"], "parameter a", "lattice.csv"),
+            (["lattice", "--a", "inf"], "parameter a", "lattice.csv"),
+            (["frame", "--a", "nan", "--J", "3", "--n-points", "256"], "parameter a", "frame_coeffs.csv"),
+            (["omega", "--s", "1", "--c", "nan"], "parameter c", "omega.csv"),
+            (["omega", "--s", "inf"], "parameter s", "omega.csv"),
+            (["omega", "--r", "nan"], "parameter r", "omega.csv"),
+        ],
+        ids=["lattice-a-nan", "lattice-a-inf", "frame-a-nan", "omega-c-nan", "omega-s-inf", "omega-r-nan"],
+    )
+    def test_rejected(self, argv, parameter, output, tmp_path, capsys):
+        assert run([*argv, "--out", str(tmp_path)]) == 1
+        assert parameter in capsys.readouterr().err
+        assert not (tmp_path / output).exists()
 
 
 class TestConfigFile:

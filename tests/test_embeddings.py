@@ -15,7 +15,6 @@ from radial_gabor.embeddings import (
     entropy_exponent,
     fit_decay_slope,
     h_sequence,
-    pgq_diagnostic,
     rearrange,
     sigma_tail,
 )
@@ -50,8 +49,36 @@ class TestClassifyEmbedding:
         assert v.status is EmbeddingStatus.COMPACT
 
     def test_p_above_q_rejected(self):
-        with pytest.raises(ValueError):
-            classify_embedding(EmbeddingQuery(3, 2, 0, 0, 2))
+        exponents = [(3, 2), (2.0, 1.0), (Fraction(3), Fraction(3, 2)), (INF, 2), (INF, Fraction(1))]
+        for p, q in exponents:
+            for d in (2, 3, 5):
+                for s, t in ((0, 0), (0, -50), (3.5, 1), (-INF, 0), (0, INF)):
+                    v = classify_embedding(EmbeddingQuery(p, q, s, t, d))
+                    assert v.status is EmbeddingStatus.NOT_EMBEDDED
+                    assert v.threshold == -INF
+        assert classify_embedding(EmbeddingQuery(Fraction(3), Fraction(3, 2), 0, 0, 2)).alpha == Fraction(-1, 3)
+        assert classify_embedding(EmbeddingQuery(INF, 2, 0, 0, 2)).alpha == -0.5
+
+    def test_p_above_q_partial_sums_diverge(self):
+        # p = 2 > q = 1 maps l^2 -> l^1 boundedly iff sum h^2 < inf; even at
+        # t - s = -20 the k = 0 rings make the partial sums grow like J^d
+        for d, growth in ((2, 3.0), (3, 7.0)):
+            sums = []
+            for jk_max in (16, 32):
+                tab = lattice_table(LatticeSpec(a=0.5, b=0.5, d=d, jk_max=jk_max))
+                h = (1.0 + 0.5 * tab.k) ** -20.0 * tab.mu ** 0.5
+                sums.append(np.sum(h**2))
+            assert sums[1] / sums[0] > growth
+
+    @pytest.mark.parametrize(
+        "s,t,parameter",
+        [(math.nan, 0, "parameter s"), (0, math.nan, "parameter t"),
+         (INF, INF, "parameters s, t"), (-INF, -INF, "parameters s, t")],
+        ids=["s-nan", "t-nan", "both-inf", "both-minus-inf"],
+    )
+    def test_undefined_weight_difference_rejected(self, s, t, parameter):
+        with pytest.raises(ValueError, match=parameter):
+            EmbeddingQuery(1, 2, s, t, 2)
 
     def test_monotone_in_target_weight(self):
         order = {
@@ -173,27 +200,6 @@ class TestExponents:
             carl_exponent(1, 2, 0)
         with pytest.raises(ValueError):
             approx_number_exponent(0.5, 2, 2)
-
-
-class TestPgqDiagnostic:
-    def test_convergent_tail(self):
-        for d in (2, 3):
-            beta = 0.5
-            diag = pgq_diagnostic(2, 1, 0.0, -4 * d * beta, d, 32.0)
-            assert diag.beta == pytest.approx(beta)
-            assert abs(diag.growth_ratio - 1.0) < 0.1
-
-    def test_constant_integrand_growth(self):
-        for d in (2, 3):
-            diag = pgq_diagnostic(2, 1, 0.4, 0.4, d, 16.0)
-            assert diag.growth_ratio == pytest.approx(2.0 ** (2 * d), rel=1e-10)
-
-    def test_beta_value(self):
-        assert pgq_diagnostic(2, 1, 0, 0, 2, 4.0).beta == pytest.approx(0.5)
-
-    def test_requires_reversed_order(self):
-        with pytest.raises(ValueError):
-            pgq_diagnostic(1, 2, 0, 0, 2, 4.0)
 
 
 class TestSigmaTail:

@@ -323,6 +323,12 @@ class TestFrameBounds:
         assert hi >= lo > 0.0
         assert hi / lo < 10.0
 
+    def test_non_orthonormal_test_basis_rejected(self, frame12):
+        # the QR of the monomials loses orthonormality long before the
+        # basis degenerates: at 30 its Gram is off the identity by 3e4
+        with pytest.raises(ValueError, match="test_dim = 30"):
+            frame_bounds(frame12, 30)
+
     def test_single_direction_collapses(self, frame12):
         lo, hi = frame_bounds(frame12, test_dim=1)
         g = frame12.window

@@ -15,7 +15,6 @@ from radial_gabor.lattice import (
     index_count,
     lattice_table,
     lattice_to_csv,
-    measure_weight,
 )
 
 
@@ -46,41 +45,40 @@ class TestAngleCount:
                 assert angle_count(j, k) >= 1
 
 
+def _mu_rows(d, jk_max):
+    """The table's mu column keyed by (j, k, ell)."""
+    tab = lattice_table(LatticeSpec(a=1.0, b=1.0, d=d, jk_max=jk_max))
+    return dict(zip(zip(tab.j.tolist(), tab.k.tolist(), tab.ell.tolist()), tab.mu.tolist()))
+
+
 class TestMeasureWeight:
     def test_corner_value_any_dimension(self):
         # N(1, 1) = 1 so ell = +-1 is the boundary case
         for d in (2, 3, 4, 7):
-            assert measure_weight((1, 1, 1), d) == 3.0
-            assert measure_weight((1, 1, -1), d) == 3.0
+            mu = _mu_rows(d, 2)
+            assert mu[(1, 1, 1)] == 3.0
+            assert mu[(1, 1, -1)] == 3.0
 
     def test_interior_d2_is_ring_sum(self):
-        assert measure_weight((2, 3, 0), 2) == 5.0
-        assert measure_weight((7, 5, 1), 2) == 12.0
+        mu = _mu_rows(2, 12)
+        assert mu[(2, 3, 0)] == 5.0
+        assert mu[(7, 5, 1)] == 12.0
 
     def test_interior_d3_example(self):
         assert angle_count(2, 3) >= 1
-        assert measure_weight((2, 3, 0), 3) == 30.0
+        assert _mu_rows(3, 5)[(2, 3, 0)] == 30.0
 
     def test_boundary_rows_use_ring_formula(self):
-        assert measure_weight((0, 4, 0), 3) == 4.0**2 + 1.0
-        assert measure_weight((5, 0, 0), 2) == 5.0 + 1.0
+        assert _mu_rows(3, 4)[(0, 4, 0)] == 4.0**2 + 1.0
+        assert _mu_rows(2, 5)[(5, 0, 0)] == 5.0 + 1.0
 
     def test_positivity_and_symmetry(self):
         for d in (2, 3, 4):
-            for j in range(0, 8):
-                for k in range(0, 8):
-                    n = angle_count(j, k)
-                    for ell in range(-n, n + 1):
-                        mu = measure_weight((j, k, ell), d)
-                        assert mu > 0.0
-                        assert mu == measure_weight((k, j, ell), d)
-
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_matches_table_column(self, d):
-        tab = lattice_table(LatticeSpec(a=1.0, b=1.0, d=d, jk_max=30))
-        keys = zip(tab.j.tolist(), tab.k.tolist(), tab.ell.tolist())
-        weights = [measure_weight(key, d) for key in keys]
-        assert np.array_equal(weights, tab.mu)
+            mu = _mu_rows(d, 14)
+            for (j, k, ell), value in mu.items():
+                if j < 8 and k < 8:
+                    assert value > 0.0
+                    assert value == mu[(k, j, ell)]
 
 
 class TestLatticeBuild:
@@ -125,6 +123,15 @@ class TestLatticeBuild:
             LatticeIndex(0, 5, 1)
         with pytest.raises(ValueError):
             LatticeIndex(1, 1, 2)
+
+    @pytest.mark.parametrize(
+        "a,b,parameter",
+        [(math.nan, 0.5, "a"), (math.inf, 0.5, "a"), (0.5, math.inf, "b")],
+        ids=["a-nan", "a-inf", "b-inf"],
+    )
+    def test_non_finite_step_rejected(self, a, b, parameter):
+        with pytest.raises(ValueError, match=f"parameter {parameter}"):
+            LatticeSpec(a=a, b=b, d=2, jk_max=3)
 
     def test_csv_export(self, tmp_path):
         spec = LatticeSpec(a=0.5, b=0.5, d=2, jk_max=3)

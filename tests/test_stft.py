@@ -48,6 +48,15 @@ class TestOrbitPoint:
         with pytest.raises(ValueError):
             OrbitPoint(1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize(
+        "r,s,c,parameter",
+        [(math.nan, 1.0, 1.0, "r"), (1.0, math.inf, 1.0, "s"), (1.0, 1.0, math.nan, "c")],
+        ids=["r-nan", "s-inf", "c-nan"],
+    )
+    def test_non_finite_rejected(self, r, s, c, parameter):
+        with pytest.raises(ValueError, match=f"parameter {parameter}"):
+            OrbitPoint(r, s, c)
+
 
 class TestRotAvgShift:
     @pytest.mark.parametrize("d", [2, 3, 4])
