@@ -12,9 +12,11 @@ cached profile matrix.
 system from a zero start, whose limit is the minimal-norm coefficient
 vector.  CG minimizes the Gram-energy norm of the coefficient error, which
 equals the L2 distance between the running reconstruction and the best
-one, so the reported reconstruction error is monotone in the iteration
-count by construction.  Callers that need a converged solve raise
-``NonConvergence`` when ``converged`` is False.
+one, so in exact arithmetic the reported reconstruction error is monotone
+in the iteration count.  In floating point, CG on an ill-conditioned Gram
+system can lose that monotonicity and even diverge, so ``reconstruct``
+returns the iterate with the lowest error it saw.  Callers that need a
+converged solve raise ``NonConvergence`` when ``converged`` is False.
 """
 
 from __future__ import annotations
@@ -234,14 +236,19 @@ def reconstruct(
     coefficients on numerically degenerate atoms by many orders of
     magnitude, so it is deliberately not used.  CG minimizes the
     Gram-energy error, which equals the L2 distance between the running
-    and the best reconstruction, so the recorded error history is
-    non-increasing by construction.
+    and the best reconstruction, so in exact arithmetic the recorded error
+    history is non-increasing; rounding can break that on ill-conditioned
+    frames.
 
+    ``error_history[k-1]`` is the relative L2 error of the k-th iterate,
+    from the running synthesis T gamma, or from the iterate's own synthesis
+    where the loop computes that (once the running error reaches tol).
     Iteration stops once the returned iterate's relative L2 error is at
     most tol (so ``converged`` implies ``relative_error <= tol``), or at
-    max_iter with ``converged`` False (the best iterate is still returned;
-    persistent failure indicates steps (a, b) outside the empirical frame
-    regime).
+    max_iter with ``converged`` False.  An unconverged result carries the
+    iterate with the lowest recorded error, the zero start included (error
+    1), and that iterate's own relative error; persistent failure indicates
+    steps (a, b) outside the empirical frame regime.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"parameter tol: must be finite and positive, got {tol}")
@@ -260,6 +267,7 @@ def reconstruct(
     p = r.copy()
     rr = np.vdot(r, r).real
     history = []
+    best_err, best_gamma = 1.0, gamma  # the zero start
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -272,13 +280,17 @@ def reconstruct(
         gamma = gamma + alpha * p
         synth_gamma = synth_gamma + alpha * synth_p
         r = r - alpha * gp
-        history.append(_l2_norm(fr, synth_gamma - f.values) / f_norm)
-        if history[-1] <= tol:
+        err = _l2_norm(fr, synth_gamma - f.values) / f_norm
+        if err <= tol:
             # the running T gamma drifts by rounding; stop on the iterate's own error
             recon_values = fr._synthesize_values(gamma)
-            converged = _l2_norm(fr, recon_values - f.values) / f_norm <= tol
-            if converged:
-                break
+            err = _l2_norm(fr, recon_values - f.values) / f_norm
+            converged = err <= tol
+        history.append(err)
+        if err < best_err:
+            best_err, best_gamma = err, gamma
+        if converged:
+            break
         rr_next = np.vdot(r, r).real
         if rr_next <= 0.0:
             break
@@ -286,6 +298,7 @@ def reconstruct(
         rr = rr_next
 
     if not converged:
+        gamma = best_gamma
         recon_values = fr._synthesize_values(gamma)
     recon = fr.window.with_values(recon_values)
     rel_err = _l2_norm(fr, recon_values - f.values) / f_norm

@@ -20,9 +20,14 @@ For a Gaussian g(theta) = A exp(-alpha theta^2) the average is exact,
     w = alpha^2 r^2 - pi^2 s^2 + 2 i alpha pi r s c,
 
 and ``_gaussian_shift_values`` evaluates it through the exponentially
-scaled Bessel function ``scipy.special.ive``.  ``build_frame`` uses it for
-``GaussianSpec`` windows; ``rot_avg_shift`` and ``radial_stft`` always
-integrate, so the closed form and the quadrature check each other.
+scaled Bessel function ``scipy.special.ive``.  Where r s c = 0 (the ell = 0
+atom of every ring, and the rings with r = 0 or s = 0) w is real, and the
+closed form takes real-argument functions instead: B_d for w < 0 and the
+scaled modified Bessel function I_nu for w >= 0 (at d = 2, ``j0`` and
+``i0e`` take a sixth to an eighth of the time of the complex ``ive``
+call).  ``build_frame`` uses it for ``GaussianSpec``
+windows; ``rot_avg_shift`` and ``radial_stft`` always integrate, so the
+closed form and the quadrature check each other.
 
 Both kernels return the values at (r, s, c) and at the mirror point
 (r, s, -c) together: the mirror differs only in the sign of the odd part
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma, ive, roots_legendre
+from scipy.special import gamma, i0e, ive, roots_legendre
 
 from .bessel import sph_bessel_values
 from .profiles import GaussianSpec, RadialProfile, inner, sphere_area
@@ -100,14 +105,30 @@ def _gl_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), half * w
 
 
+# A quadrature pass holds several (n_points, nodes) float64 arrays (window
+# samples, kernel, phases).  At the CLI's 1024-point grid, 2^27 samples
+# (1 GiB) per array allow 2^17 nodes; larger counts are refused before
+# anything is allocated.  Frame builds up to J = 24 need a few hundred.
+_MAX_PHI_NODES = 2**27 // 1024
+
+
 def _phi_min_nodes(theta_max: float, r: float, s: float) -> int:
-    return max(64, math.ceil(8.0 * (1.0 + theta_max * s + theta_max * r)))
+    need = 8.0 * (1.0 + theta_max * s + theta_max * r)
+    if not need <= _MAX_PHI_NODES:
+        name = "r" if r >= s else "s"
+        raise ValueError(
+            f"parameter {name}: the orbit (r, s) = ({r:g}, {s:g}) needs {need:.3g} phi-quadrature "
+            f"nodes at theta_max = {theta_max:g}, above the {_MAX_PHI_NODES} that can be allocated"
+        )
+    return max(64, math.ceil(need))
 
 
 def phi_node_count(theta_max: float, r: float, s: float) -> int:
     """Default Gauss-Legendre node count on [0, pi]: the oscillation
     resolving minimum, rounded up to a multiple of 32 so rules can be
-    cached across lattice rings."""
+    cached across lattice rings.  A ValueError naming r or s refuses a
+    count above ``_MAX_PHI_NODES``, whose sample arrays cannot be
+    allocated."""
     return ((_phi_min_nodes(theta_max, r, s) + 31) // 32) * 32
 
 
@@ -179,13 +200,19 @@ def _gaussian_shift_values(
     combined exponent is at most -alpha (theta - r)^2 and nothing overflows.
     The mirror has conj(w), and ive(nu, conj z) = conj ive(nu, z), so its
     values are A conj(u) for the unit-amplitude values u at ``point``.
+
+    When r s c = 0, w is real and so is u, which is then also the mirror
+    value; ``_gaussian_real_axis`` evaluates it without complex arithmetic.
     """
     r, s, c = point.r, point.s, point.c
     alpha = g.alpha
-    nu = 0.5 * (d - 2)
-    z = radii * cmath.sqrt(complex(alpha * alpha * r * r - math.pi**2 * s * s,
-                                   2.0 * alpha * math.pi * r * s * c))
+    w_re = alpha * alpha * r * r - math.pi**2 * s * s
     exponent = -alpha * (radii * radii + r * r)
+    if r * s * c == 0.0:
+        u = _gaussian_real_axis(radii, d, w_re, exponent)
+        return g.amp * u, g.amp * u
+    nu = 0.5 * (d - 2)
+    z = radii * cmath.sqrt(complex(w_re, 2.0 * alpha * math.pi * r * s * c))
     out = np.exp(exponent).astype(complex)
     # below |z| = 1e-8 the series 1 + z^2/(nu+1) + ... of 0F1 is 1 to
     # roundoff, while z^-nu overflows as z -> 0 (the origin atom has z = 0)
@@ -194,6 +221,27 @@ def _gaussian_shift_values(
     out[big] = (gamma(nu + 1.0) * zb ** (-nu) * ive(nu, 2.0 * zb)
                 * np.exp(2.0 * zb.real + exponent[big]))
     return g.amp * out, g.amp * np.conj(out)
+
+
+def _gaussian_real_axis(radii: np.ndarray, d: int, w: float, exponent: np.ndarray) -> np.ndarray:
+    """exp(exponent) 0F1(; d/2; theta^2 w) at theta = ``radii`` for real w.
+
+    For w < 0 this is exp(exponent) B_d(theta sqrt(-w) / pi).  For w >= 0 it
+    is Gamma(nu+1) z^-nu I_nu(2z) exp(exponent) with z = theta sqrt(w),
+    evaluated scaled as in ``_gaussian_shift_values``; w = 0 leaves
+    exp(exponent) through the small-z guard.
+    """
+    if w < 0.0:
+        return np.exp(exponent) * sph_bessel_values(d, radii * (math.sqrt(-w) / math.pi))
+    nu = 0.5 * (d - 2)
+    z = radii * math.sqrt(w)
+    out = np.exp(exponent)
+    big = z > 1e-8
+    zb = z[big]
+    # the Cephes i0e takes about a sixth of the time of ive on 1024 points
+    scaled_iv = i0e(2.0 * zb) if d == 2 else ive(nu, 2.0 * zb)
+    out[big] = gamma(nu + 1.0) * zb ** (-nu) * scaled_iv * np.exp(2.0 * zb + exponent[big])
+    return out
 
 
 def rot_avg_shift(
@@ -205,11 +253,17 @@ def rot_avg_shift(
     radial profile, sampled on the profile's own grid.
 
     The result is linear in ``window`` and contractive in L2 norm (the
-    operator is an average of unitaries).
+    operator is an average of unitaries).  Node counts above
+    ``_MAX_PHI_NODES`` raise a ValueError naming ``quad_nodes`` when given,
+    else r or s.
     """
     if quad_nodes is None:
         quad_nodes = phi_node_count(window.theta_max, point.r, point.s)
     else:
+        if quad_nodes > _MAX_PHI_NODES:
+            raise ValueError(
+                f"parameter quad_nodes: {quad_nodes} exceeds the {_MAX_PHI_NODES} nodes that can be allocated"
+            )
         required = _phi_min_nodes(window.theta_max, point.r, point.s)
         if quad_nodes < required:
             raise InsufficientQuadratureError(

@@ -120,6 +120,12 @@ class TestOmega:
         )
         assert code == 1
 
+    def test_unallocatable_node_count_exit(self, tmp_path, capsys):
+        assert run(["omega", "--r", "1e200", "--s", "1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "parameter r" in err and "Traceback" not in err
+        assert not (tmp_path / "omega.csv").exists()
+
 
 class TestStft:
     def test_grid_rows(self, tmp_path, capsys):

@@ -316,6 +316,18 @@ class TestReconstruct:
         assert res.converged
         assert int(np.argmax(direct <= tol)) + 1 == res.iterations
 
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_unconverged_returns_best_iterate(self, J):
+        # CG on these small frames stalls above tol = 1e-8 and then drifts
+        # away from its best iterate; the result must be that best iterate
+        from radial_gabor.cli import _window_profile
+
+        fr = build_frame(_window_profile("normalized", 2, 8.0, 1024), LatticeSpec(a=0.5, b=0.5, d=2, jk_max=J))
+        res = reconstruct(_window_profile("gauss2", 2, 8.0, 1024), fr, tol=1e-8, max_iter=2000)
+        assert not res.converged
+        assert res.relative_error <= 1.0
+        assert res.relative_error <= np.min(res.error_history) * (1.0 + 1e-9)
+
 
 class TestFrameBounds:
     def test_reference_configuration(self, frame12):

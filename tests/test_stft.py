@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma, ive
 
+from radial_gabor import stft
 from radial_gabor.profiles import (
     GaussianSpec,
     inner,
@@ -151,6 +153,93 @@ class TestRotAvgShift:
             for values in _gaussian_shift_values(g, radii, d, OrbitPoint(40.0, 40.0, c)):
                 assert np.all(np.isfinite(values))
                 assert np.all(np.abs(values) <= envelope * (1.0 + 1e-12) + 1e-300)
+
+    @pytest.fixture
+    def no_phi_grid(self, monkeypatch):
+        # the counts below would need gigabytes: fail instead of allocating
+        def allocated(*args):
+            raise AssertionError("the phi grid was allocated")
+
+        monkeypatch.setattr(stft, "_gl_rule", allocated)
+        monkeypatch.setattr(stft, "_shifted_window_samples", allocated)
+
+    @pytest.mark.parametrize("r", [1e200, 1e6])
+    def test_unallocatable_node_count_rejected(self, r, no_phi_grid):
+        window = make_profile(2, 8.0, 16, GaussianSpec(math.pi))
+        with pytest.raises(ValueError, match="parameter r"):
+            phi_node_count(window.theta_max, r, 1.0)
+        with pytest.raises(ValueError, match="parameter r"):
+            rot_avg_shift(window, OrbitPoint(r, 1.0, 0.5))
+        with pytest.raises(ValueError, match="parameter s"):
+            radial_stft(window, window, OrbitPoint(1.0, r, 0.5))
+
+    def test_unallocatable_quad_nodes_rejected(self, no_phi_grid):
+        g = normalized_gaussian_window(2)
+        with pytest.raises(ValueError, match="parameter quad_nodes"):
+            rot_avg_shift(g, OrbitPoint(1.0, 1.0, 0.5), quad_nodes=10**9)
+
+
+def complex_closed_form(g, radii, d, p):
+    """g.amp e^(-alpha theta^2 - alpha r^2) 0F1(; d/2; theta^2 w) through the
+    complex ive, as the benchmark's atom oracle evaluates it."""
+    a = (d - 2) / 2.0
+    w = g.alpha**2 * p.r * p.r - math.pi**2 * p.s * p.s + 2j * g.alpha * math.pi * p.r * p.s * p.c
+    z = radii * np.sqrt(complex(w))
+    small = np.abs(z) < 1e-150
+    zs = np.where(small, 1.0, z)
+    hyp = gamma(a + 1.0) * zs ** (-a) * ive(a, 2.0 * zs) * np.exp(2.0 * zs.real)
+    hyp = np.where(small, 1.0, hyp)
+    return g.amp * np.exp(-g.alpha * radii**2 - g.alpha * p.r * p.r) * hyp
+
+
+class TestGaussianRealAxis:
+    """Orbit points with r s c = 0, where w is real: the ell = 0 atom of a
+    ring (c = 0) and the rings with r = 0 or s = 0."""
+
+    CASES = {
+        "w>0": (GaussianSpec(math.pi), 8.0, OrbitPoint(2.0, 1.0, 0.0)),
+        "w<0": (GaussianSpec(math.pi), 8.0, OrbitPoint(1.0, 2.0, 0.0)),
+        "w=0": (GaussianSpec(math.pi), 8.0, OrbitPoint(1.5, 1.5, 0.0)),  # alpha r = pi s, w = 0.0 exactly
+        "r=0": (GaussianSpec(1.3, 0.7), 8.0, OrbitPoint(0.0, 1.5)),
+        "s=0": (GaussianSpec(1.3, 0.7), 8.0, OrbitPoint(2.5, 0.0)),
+        # 2 theta sqrt(-w) reaches 402 at theta = 16.  (A w > 0 case that
+        # large has exponents near 100 that cancel; the reference's separate
+        # exp factors then carry 1e-14 relative error of their own.)
+        "large": (GaussianSpec(0.05), 16.0, OrbitPoint(0.0, 4.0)),
+    }
+
+    @pytest.fixture(params=list(CASES))
+    def case(self, request):
+        return self.CASES[request.param]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_complex_closed_form(self, case, d):
+        g, theta_max, p = case
+        radii = make_profile(d, theta_max, 1024, g).radii
+        plus, minus = _gaussian_shift_values(g, radii, d, p)
+        ref = complex_closed_form(g, radii, d, p)
+        assert np.array_equal(plus, minus)  # the point is its own mirror
+        tol = 5e-15 if d == 2 else 1e-13
+        assert np.max(np.abs(plus - ref)) <= tol * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_quadrature(self, case, d):
+        g, theta_max, p = case
+        window = make_profile(d, theta_max, 1024, g)
+        closed = _gaussian_shift_values(g, window.radii, d, p)[0]
+        quad = rot_avg_shift(window, p).values
+        assert np.max(np.abs(closed - quad)) <= 1e-12 * norm(window)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_no_complex_bessel_call(self, case, d, monkeypatch):
+        def real_only(nu, x):
+            assert not np.iscomplexobj(x), "complex ive call"
+            return ive(nu, x)
+
+        monkeypatch.setattr(stft, "ive", real_only)
+        g, theta_max, p = case
+        radii = make_profile(d, theta_max, 1024, g).radii
+        assert np.all(np.isfinite(_gaussian_shift_values(g, radii, d, p)[0]))
 
 
 class TestRadialStft:
