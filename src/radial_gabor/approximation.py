@@ -173,7 +173,7 @@ def nterm_greedy(
     if refit and n > 0:
         area = sphere_area(fr.window.dim)
         sw = np.sqrt(area * fr.window.weights)
-        basis = fr.atom_matrix[kept] * sw[None, :]
+        basis = fr._atom_rows(kept) * sw[None, :]
         values, *_ = np.linalg.lstsq(basis.T, f.values * sw, rcond=None)
     err = _truncation_error(f, fr, gamma, weighted, order, n, q_exp, t_exp, values)
     return CoeffSeq(table=fr.table, rows=kept, values=values), err

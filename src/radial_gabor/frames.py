@@ -7,16 +7,32 @@ normalization that turns the family into a Hilbert frame.  Analysis,
 synthesis and the frame operator are dense linear algebra against the
 cached profile matrix.
 
-``reconstruct`` computes canonical-dual coefficients by plain
-(unpreconditioned) conjugate-gradient iteration on the Gram (normal)
-system from a zero start, whose limit is the minimal-norm coefficient
-vector.  CG minimizes the Gram-energy norm of the coefficient error, which
-equals the L2 distance between the running reconstruction and the best
-one, so in exact arithmetic the reported reconstruction error is monotone
-in the iteration count.  In floating point, CG on an ill-conditioned Gram
-system can lose that monotonicity and even diverge, so ``reconstruct``
-returns the iterate with the lowest error it saw.  Callers that need a
-converged solve raise ``NonConvergence`` when ``converged`` is False.
+The cache stores each ring's atoms a_ell and a_-ell in pair form, as the
+rows R[ell] = (a_ell + a_-ell)/2 and R[-ell] = (a_ell - a_-ell)/(2i) of a
+matrix R; ell = 0 rows hold the atom itself.  For a real window a_-ell is
+the exact conjugate of a_ell, so the pair rows are Re a_ell and Im a_ell,
+R is real with half the bytes of the complex atom matrix, and real
+targets are analysed, synthesized and solved for in real arithmetic.
+Complex windows keep a complex R through the same transform.  The atoms
+a_(+-ell) = R[ell] +- i R[-ell] are derived from R where a caller asks for
+them (``FrameSystem.atom_matrix``).
+
+``reconstruct`` computes canonical-dual coefficients by conjugate-gradient
+iteration on the Gram (normal) system from a zero start, whose limit is the
+minimal-norm coefficient vector.  It iterates on the pair coefficients
+beta, whose synthesis is R^T beta and which map back to atom coefficients
+as gamma_(+-ell) = (beta_ell -+ i beta_-ell)/2.  That map is sqrt(1/2)
+times a unitary on every pair, so ||gamma||^2 is the pair metric
+sum_pairs (|beta_ell|^2 + |beta_-ell|^2)/2 + sum |beta_0|^2, and CG in
+that metric takes, in exact arithmetic, the same iterates as plain CG on
+gamma to the same minimal-norm limit.  CG minimizes the Gram-energy norm
+of the coefficient error, which equals the L2 distance between the running
+reconstruction and the best one, so in exact arithmetic the reported
+reconstruction error is monotone in the iteration count.  In floating
+point, CG on an ill-conditioned Gram system can lose that monotonicity and
+even diverge, so ``reconstruct`` returns the iterate with the lowest error
+it saw.  Callers that need a converged solve raise ``NonConvergence`` when
+``converged`` is False.
 """
 
 from __future__ import annotations
@@ -59,9 +75,12 @@ def worker_count() -> int:
     """Worker cap for atom-parallel stages; RADIAL_GABOR_THREADS overrides."""
     env = os.environ.get("RADIAL_GABOR_THREADS")
     if env is not None:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0
         if n < 1:
-            raise ValueError("RADIAL_GABOR_THREADS must be a positive integer")
+            raise ValueError(f"RADIAL_GABOR_THREADS must be a positive integer, got {env!r}")
         return n
     return min(8, os.cpu_count() or 1)
 
@@ -99,28 +118,120 @@ class CoeffSeq:
         return self._entries
 
 
+# rows per block when atoms are derived from the pair rows: a derived matrix
+# then needs about 128 KiB of temporaries at 1,024 grid points, not a
+# second copy of the pair matrix
+_ROW_BLOCK = 16
+
+
+def _matmul(matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """matrix @ vec without casting a real matrix to complex: numpy would
+    copy it into a complex array first (580 us against 85 us at 303 x
+    1024), so a complex vec is multiplied as its real and imaginary
+    columns, and one whose imaginary part is zero as its real part."""
+    if matrix.dtype.kind == "f" and vec.dtype.kind == "c":
+        if not vec.imag.any():
+            return matrix @ vec.real
+        columns = np.ascontiguousarray(vec).view(float).reshape(-1, 2)
+        return (matrix @ columns).view(complex)[:, 0]
+    return matrix @ vec
+
+
 @dataclass(frozen=True)
 class FrameSystem:
+    """The atoms of one window on a truncated lattice, in pair form (see
+    the module docstring): ``pair_matrix`` is real for a real window and
+    ``atom_matrix`` derives the complex atoms from it."""
+
     window: RadialProfile
     spec: LatticeSpec
     table: LatticeTable
-    atom_matrix: np.ndarray  # (n_atoms, n_grid) cached atom profiles
+    pair_matrix: np.ndarray  # (n_atoms, n_grid): R[ell], R[-ell] per atom pair, a_0 on ell = 0
     normalized: bool
 
     def __len__(self) -> int:
-        return self.atom_matrix.shape[0]
+        return self.pair_matrix.shape[0]
+
+    @property
+    def atom_matrix(self) -> np.ndarray:
+        """(n_atoms, n_grid) complex atom profiles, a read-only array
+        derived from ``pair_matrix`` on every access: each access rebuilds
+        the whole matrix (about 2 ms at 571 x 1,024) and allocates twice
+        the bytes of a real ``pair_matrix``, so read it once, not per row;
+        ``_atom_rows`` derives a subset."""
+        return self._atom_rows(np.arange(len(self)))
+
+    def _atom_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Atoms a_(+-ell) = R[ell] +- i R[-ell] at table ``rows``; for a
+        real R these are R[ell] and R[-ell] as real and imaginary parts."""
+        rows = np.asarray(rows)
+        ell = self.table.ell[rows]
+        mid = rows - ell  # the ring's ell = 0 row
+        even_rows, odd_rows = mid + np.abs(ell), mid - np.abs(ell)
+        sign = np.sign(ell)[:, None]
+        pm = self.pair_matrix
+        out = np.empty((rows.size, pm.shape[1]), dtype=complex)
+        for lo in range(0, rows.size, _ROW_BLOCK):
+            blk = slice(lo, lo + _ROW_BLOCK)
+            if pm.dtype.kind == "f":
+                out.real[blk] = pm[even_rows[blk]]
+                out.imag[blk] = pm[odd_rows[blk]]
+                out.imag[blk] *= sign[blk]
+            else:
+                out[blk] = pm[even_rows[blk]] + 1j * (sign[blk] * pm[odd_rows[blk]])
+        out.flags.writeable = False
+        return out
+
+    def _pair_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Table rows of R[ell] and of R[-ell] for every pair, ell > 0."""
+        plus = np.flatnonzero(self.table.ell > 0)
+        return plus, plus - 2 * self.table.ell[plus]
+
+    def _inverse_metric(self) -> np.ndarray:
+        """Inverse of the pair metric: 2 on pair rows, 1 on ell = 0 rows."""
+        return np.where(self.table.ell == 0, 1.0, 2.0)
+
+    def _to_atoms(self, x: np.ndarray, scale: float) -> np.ndarray:
+        """scale (x_ell -+ i x_-ell) at +-ell on every pair, x_0 on ell = 0:
+        pair-row analysis to atom analysis with scale 1, pair coefficients
+        beta to atom coefficients gamma with scale 1/2."""
+        plus, minus = self._pair_rows()
+        out = x.astype(complex)
+        even, odd = x[plus], x[minus]
+        out[plus] = scale * (even - 1j * odd)
+        out[minus] = scale * (even + 1j * odd)
+        return out
+
+    def _to_pairs(self, gamma: np.ndarray) -> np.ndarray:
+        """Pair coefficients of atom coefficients, the inverse of
+        ``_to_atoms(., 0.5)``: beta_ell = gamma_ell + gamma_-ell and
+        beta_-ell = i (gamma_ell - gamma_-ell)."""
+        plus, minus = self._pair_rows()
+        beta = gamma.astype(complex)
+        beta[plus] = gamma[plus] + gamma[minus]
+        beta[minus] = 1j * (gamma[plus] - gamma[minus])
+        return beta
+
+    def _analyze_pairs(self, values: np.ndarray) -> np.ndarray:
+        """<f, R_k> for every pair row R_k; real for a real R and real f."""
+        weighted = self.window.weights * values
+        # conj(R) x = conj(R conj(x)) without a conjugated copy of R
+        return sphere_area(self.window.dim) * np.conj(_matmul(self.pair_matrix, np.conj(weighted)))
+
+    def _synthesize_pairs(self, beta: np.ndarray) -> np.ndarray:
+        return _matmul(self.pair_matrix.T, beta)
 
     def _analyze_values(self, values: np.ndarray) -> np.ndarray:
-        # conj(A) x = conj(A conj(x)) without a conjugated copy of A
-        area = sphere_area(self.window.dim)
-        return area * np.conj(self.atom_matrix @ np.conj(self.window.weights * values))
+        """<f, a_i> for every atom a_i."""
+        return self._to_atoms(self._analyze_pairs(values), 1.0)
 
     def _synthesize_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.atom_matrix.T @ coeffs
+        """sum_i coeffs[i] a_i, through the pair rows."""
+        return self._synthesize_pairs(self._to_pairs(coeffs))
 
 
 def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = True) -> FrameSystem:
-    """Cache all atom profiles for the truncated lattice.
+    """Cache all atom profiles for the truncated lattice, in pair form.
 
     When the window's analytic evaluator is a ``GaussianSpec``, every atom
     comes from the closed-form rotation average (a confluent
@@ -128,11 +239,23 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
     integrated by phi-quadrature, and atoms on one (j, k) ring share the
     shifted window samples.  The atoms at +ell and -ell of a ring have
     cosines c and -c and come from one kernel evaluation, for every window
-    (``_averaged_shift_values``, ``_gaussian_shift_values``); the -ell row
-    carries the conjugate half-phase.  Rings are independent and run on a
-    small thread pool; results are deterministic because every profile is
-    stored by index.  A ValueError naming d rejects atoms whose values are
-    not finite (the kernels overflow in high dimensions).
+    (``_averaged_shift_values``, ``_gaussian_shift_values``); the -ell atom
+    carries the conjugate half-phase.  The pair is stored as the rows
+    R[ell] = (a_ell + a_-ell)/2 and R[-ell] = (a_ell - a_-ell)/(2i), the
+    ell = 0 atom as it is.
+
+    A window whose evaluator returns real values gives a_-ell = conj(a_ell)
+    exactly, and ell = 0 atoms are real (their cosine, hence their
+    half-phase angle, is 0, or r or s is 0), so R is real: R[ell] = Re a_ell
+    and R[-ell] = Im a_ell, and the mirror kernel values are not used.  On
+    the r = 0 rings the phi-quadrature leaves an imaginary residue of a few
+    ulps where the exact average is real; the real R drops it.  Any other
+    window gives a complex R.
+
+    Rings are independent and run on a small thread pool; results are
+    deterministic because every row is stored by index.  A ValueError
+    naming d rejects atoms whose values are not finite (the kernels
+    overflow in high dimensions).
     """
     if norm(window) == 0.0:
         raise ValueError("frame window must be nonzero")
@@ -140,7 +263,8 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
         raise ValueError("window dimension does not match the lattice spec")
     table = lattice_table(spec)
     n_atoms = len(table)
-    matrix = np.empty((n_atoms, window.radii.size), dtype=complex)
+    real = not np.iscomplexobj(window.evaluate(window.radii[:1]))
+    matrix = np.empty((n_atoms, window.radii.size), dtype=float if real else complex)
 
     # rows are in (j, k, ell) order, so a ring starts wherever (j, k) changes
     new_ring = (np.diff(table.j) != 0) | (np.diff(table.k) != 0)
@@ -168,16 +292,21 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
                 math.sin(math.pi * point.r * point.s * point.c),
             )
             scale = math.sqrt(table.mu[i]) if normalized else 1.0
-            matrix[i] = (scale * phase) * plus
-            if ell > 0:
-                matrix[mid - ell] = (scale * phase.conjugate()) * minus
+            atom = (scale * phase) * plus
+            if ell == 0:
+                matrix[i] = atom.real if real else atom
+            elif real:
+                matrix[i], matrix[mid - ell] = atom.real, atom.imag
+            else:
+                mirror = (scale * phase.conjugate()) * minus
+                matrix[i], matrix[mid - ell] = 0.5 * (atom + mirror), -0.5j * (atom - mirror)
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         list(pool.map(fill_ring, range(len(ring_starts) - 1)))
     bad = np.count_nonzero(~np.isfinite(matrix.view(float)).all(axis=1))
     if bad:
         raise ValueError(f"{bad} of {n_atoms} atoms have non-finite values at d = {spec.d}")
-    return FrameSystem(window=window, spec=spec, table=table, atom_matrix=matrix, normalized=normalized)
+    return FrameSystem(window=window, spec=spec, table=table, pair_matrix=matrix, normalized=normalized)
 
 
 def analyze(f: RadialProfile, fr: FrameSystem) -> CoeffSeq:
@@ -204,7 +333,8 @@ def frame_operator(f: RadialProfile, fr: FrameSystem) -> RadialProfile:
     """S f = sum_i <f, atom_i> atom_i; self-adjoint and positive
     semidefinite on the truncated system."""
     _check_compatible(f, fr.window)
-    return fr.window.with_values(fr._synthesize_values(fr._analyze_values(f.values)))
+    pairs = fr._inverse_metric() * fr._analyze_pairs(f.values)
+    return fr.window.with_values(fr._synthesize_pairs(pairs))
 
 
 class NonConvergence(RuntimeError):
@@ -230,25 +360,30 @@ def reconstruct(
     """Canonical-dual reconstruction sum_i <f, S^-1 atom_i> atom_i via
     conjugate gradients on the Gram system.
 
-    Plain (unpreconditioned) CG from a zero start converges to the
-    minimal-norm coefficient vector, which is exactly the canonical dual;
-    diagonal rescaling by atom norms changes that limit and inflates
-    coefficients on numerically degenerate atoms by many orders of
-    magnitude, so it is deliberately not used.  CG minimizes the
-    Gram-energy error, which equals the L2 distance between the running
-    and the best reconstruction, so in exact arithmetic the recorded error
-    history is non-increasing; rounding can break that on ill-conditioned
-    frames.
+    CG from a zero start converges to the minimal-norm coefficient vector,
+    which is exactly the canonical dual.  It runs on the pair coefficients
+    in the pair metric (see the module docstring), which is an isometry
+    onto the atom coefficients and so keeps that limit; diagonal rescaling
+    by atom norms would change it and inflate coefficients on numerically
+    degenerate atoms by many orders of magnitude, so it is deliberately not
+    used.  CG minimizes the Gram-energy error, which equals the L2 distance
+    between the running and the best reconstruction, so in exact arithmetic
+    the recorded error history is non-increasing; rounding can break that
+    on ill-conditioned frames.
+
+    On a real-window frame a real target is solved in real arithmetic; a
+    complex target runs the same CG on complex vectors, whose real and
+    imaginary parts meet the real pair matrix in one product (``_matmul``).
 
     ``error_history[k-1]`` is the relative L2 error of the k-th iterate,
     from the running synthesis T gamma, or from the iterate's own synthesis
     where the loop computes that (once the running error reaches tol).
-    Iteration stops once the returned iterate's relative L2 error is at
-    most tol (so ``converged`` implies ``relative_error <= tol``), or at
-    max_iter with ``converged`` False.  An unconverged result carries the
-    iterate with the lowest recorded error, the zero start included (error
-    1), and that iterate's own relative error; persistent failure indicates
-    steps (a, b) outside the empirical frame regime.
+    Iteration stops once the iterate's own relative L2 error is at most tol,
+    or at max_iter.  ``converged`` means the returned ``relative_error`` is
+    at most tol.  An unconverged solve returns the iterate with the lowest
+    recorded error, the zero start included (error 1), and that iterate's
+    own relative error; persistent failure indicates steps (a, b) outside
+    the empirical frame regime.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"parameter tol: must be finite and positive, got {tol}")
@@ -260,58 +395,73 @@ def reconstruct(
         zero = fr.window.with_values(np.zeros_like(f.values))
         return ReconstructionResult(zero, 0.0, True, 0, _all_rows(fr, np.zeros(len(fr))), np.zeros(0))
 
-    b = fr._analyze_values(f.values)
-    gamma = np.zeros_like(b)
-    synth_gamma = np.zeros(f.values.shape, dtype=complex)  # T gamma, kept up to date
-    r = b.copy()
-    p = r.copy()
-    rr = np.vdot(r, r).real
+    values = f.values if f.values.imag.any() else f.values.real
+    beta, recon_values, rel_err, history, iterations = _dual_cg(fr, values, f_norm, tol, max_iter)
+    recon = fr.window.with_values(recon_values)
+    coefficients = _all_rows(fr, fr._to_atoms(beta, 0.5))
+    return ReconstructionResult(recon, rel_err, rel_err <= tol, iterations, coefficients, np.asarray(history))
+
+
+def _dual_cg(fr: FrameSystem, values: np.ndarray, f_norm: float, tol: float, max_iter: int):
+    """Zero-start CG for the pair coefficients beta of ``values`` (real for
+    real values on a real-window frame).  The inverse pair metric acts as
+    the preconditioner, which makes these the iterates of plain CG on the
+    atom coefficients.  Errors are L2 norms relative to ``f_norm``.
+
+    Returns (beta, R^T beta, its relative error, error history, iteration
+    count) for the first iterate whose own error is at most tol, else for
+    the best recorded iterate.
+    """
+    inv_metric = fr._inverse_metric()
+    r = fr._analyze_pairs(values)  # the residual as pair-row inner products
+    z = inv_metric * r  # ... and as pair coefficients
+    beta = np.zeros_like(z)
+    synth_beta = np.zeros(values.shape, dtype=np.result_type(fr.pair_matrix, values))  # kept up to date
+    p = z
+    rz = np.vdot(r, z).real
     history = []
-    best_err, best_gamma = 1.0, gamma  # the zero start
+    best_err, best_beta = 1.0, beta  # the zero start
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        synth_p = fr._synthesize_values(p)
-        gp = fr._analyze_values(synth_p)
+        synth_p = fr._synthesize_pairs(p)
+        gp = fr._analyze_pairs(synth_p)
         denom = np.vdot(p, gp).real
         if denom <= 0.0:
             break
-        alpha = rr / denom
-        gamma = gamma + alpha * p
-        synth_gamma = synth_gamma + alpha * synth_p
+        alpha = rz / denom
+        beta = beta + alpha * p
+        synth_beta = synth_beta + alpha * synth_p
         r = r - alpha * gp
-        err = _l2_norm(fr, synth_gamma - f.values) / f_norm
+        err = _l2_norm(fr, synth_beta - values) / f_norm
         if err <= tol:
-            # the running T gamma drifts by rounding; stop on the iterate's own error
-            recon_values = fr._synthesize_values(gamma)
-            err = _l2_norm(fr, recon_values - f.values) / f_norm
+            # the running synthesis drifts by rounding; stop on the iterate's own error
+            own = fr._synthesize_pairs(beta)
+            err = _l2_norm(fr, own - values) / f_norm
             converged = err <= tol
         history.append(err)
         if err < best_err:
-            best_err, best_gamma = err, gamma
+            best_err, best_beta = err, beta
         if converged:
+            return beta, own, err, history, iterations
+        z = inv_metric * r
+        rz_next = np.vdot(r, z).real
+        if rz_next <= 0.0:
             break
-        rr_next = np.vdot(r, r).real
-        if rr_next <= 0.0:
-            break
-        p = r + (rr_next / rr) * p
-        rr = rr_next
-
-    if not converged:
-        gamma = best_gamma
-        recon_values = fr._synthesize_values(gamma)
-    recon = fr.window.with_values(recon_values)
-    rel_err = _l2_norm(fr, recon_values - f.values) / f_norm
-    return ReconstructionResult(recon, rel_err, converged, iterations, _all_rows(fr, gamma), np.asarray(history))
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    own = fr._synthesize_pairs(best_beta)
+    return best_beta, own, _l2_norm(fr, own - values) / f_norm, history, iterations
 
 
 def _l2_norm(fr: FrameSystem, values: np.ndarray) -> float:
     area = sphere_area(fr.window.dim)
-    return math.sqrt(max(0.0, (area * np.sum(fr.window.weights * np.abs(values) ** 2)).real))
+    return math.sqrt(max(0.0, area * np.vdot(values, fr.window.weights * values).real))
 
 
 def _l2_error(fr: FrameSystem, gamma: np.ndarray, f: RadialProfile) -> float:
-    """L2 distance between the synthesis of ``gamma`` and f."""
+    """L2 distance between the synthesis of atom coefficients ``gamma``
+    and f."""
     return _l2_norm(fr, fr._synthesize_values(gamma) - f.values)
 
 

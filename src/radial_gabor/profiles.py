@@ -20,6 +20,7 @@ import math
 import os
 import secrets
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -93,13 +94,26 @@ def make_grid(theta_max: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     return radii, weights
 
 
+@lru_cache(maxsize=32)
+def _profile_grid(theta_max: float, n_points: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and theta^(dim-1)-weighted quadrature weights of
+    ``make_grid(theta_max, n_points)`` as read-only arrays, which every
+    profile on that grid shares."""
+    radii, base = make_grid(theta_max, n_points)
+    weights = base * radii ** (dim - 1)
+    radii.flags.writeable = weights.flags.writeable = False
+    return radii, weights
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """Samples of a radial function on the composite grid
     ``make_grid(theta_max, values.size)``.
 
     ``radii`` and ``weights`` follow from the grid; the weights implement
-    integration against theta^(d-1) d theta on [0, theta_max].
+    integration against theta^(d-1) d theta on [0, theta_max].  They are
+    read-only arrays shared by every profile on the same grid, so a
+    profile derived by ``with_values`` reuses them.
     ``analytic`` optionally tags a closed-form evaluator used for off-grid
     evaluation.
     """
@@ -120,11 +134,11 @@ class RadialProfile:
             raise ValueError("values must be 1-d and fill whole 8-node panels")
         if not np.all(np.isfinite(values.view(float))):
             raise ValueError("values must be finite")
-        radii, base = make_grid(self.theta_max, values.size)
+        radii, weights = _profile_grid(float(self.theta_max), values.size, self.dim)
         object.__setattr__(self, "theta_max", float(self.theta_max))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "weights", base * radii ** (self.dim - 1))
+        object.__setattr__(self, "weights", weights)
 
     def with_values(self, values: np.ndarray) -> "RadialProfile":
         return RadialProfile(self.dim, self.theta_max, values)
@@ -175,7 +189,7 @@ def make_profile(
     evaluator: Callable[[np.ndarray], np.ndarray],
 ) -> RadialProfile:
     """Sample ``evaluator`` on the composite Gauss-Legendre grid."""
-    radii = make_grid(theta_max, n_points)[0]
+    radii = _profile_grid(float(theta_max), n_points, d)[0]
     return RadialProfile(d, theta_max, evaluator(radii), analytic=evaluator)
 
 

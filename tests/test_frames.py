@@ -24,7 +24,15 @@ from radial_gabor.profiles import (
     norm,
     normalized_gaussian_window,
 )
-from radial_gabor.stft import OrbitPoint, radial_stft, rot_avg_shift
+from radial_gabor.frames import _l2_error
+from radial_gabor.stft import (
+    OrbitPoint,
+    _averaged_shift_values,
+    _gaussian_shift_values,
+    phi_node_count,
+    radial_stft,
+    rot_avg_shift,
+)
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +157,101 @@ class TestBuildFrame:
                 plus, minus = fr.atom_matrix[mid + ell], fr.atom_matrix[mid - ell]
                 scale = math.sqrt(tab.mu[mid + ell]) * norm(window)
                 assert np.max(np.abs(minus - np.conj(plus))) > 1e-3 * scale
+
+
+def _rebuilt_atoms(fr):
+    """Atom rows straight from the pair kernels, each -ell row from the
+    mirror values with the conjugate half-phase."""
+    w, t = fr.window, fr.table
+    g = w.analytic if isinstance(w.analytic, GaussianSpec) else None
+    out = np.empty((len(fr), w.radii.size), dtype=complex)
+    for i in np.flatnonzero(t.ell >= 0):
+        p = OrbitPoint(float(t.r[i]), float(t.s[i]), float(t.c[i]))
+        if g is None:
+            plus, minus = _averaged_shift_values(w, p, phi_node_count(w.theta_max, p.r, p.s))
+        else:
+            plus, minus = _gaussian_shift_values(g, w.radii, w.dim, p)
+        phase = complex(math.cos(math.pi * p.r * p.s * p.c), math.sin(math.pi * p.r * p.s * p.c))
+        scale = math.sqrt(t.mu[i]) if fr.normalized else 1.0
+        out[i] = (scale * phase) * plus
+        if t.ell[i] > 0:
+            out[i - 2 * t.ell[i]] = (scale * phase.conjugate()) * minus
+    return out
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("path", ["closed", "quadrature"])
+    def test_real_window_stores_real_pairs(self, d, path):
+        g = GaussianSpec(math.pi, 2.0 ** (d / 4.0))
+        window = make_profile(d, 8.0, 1024, g if path == "closed" else (lambda t: g(t)))
+        fr = build_frame(window, LatticeSpec(a=0.5, b=0.5, d=d, jk_max=4 if path == "closed" else 3))
+        atoms, ref = fr.atom_matrix, _rebuilt_atoms(fr)
+        assert fr.pair_matrix.dtype == np.float64 and fr.pair_matrix.shape == ref.shape
+        assert atoms.dtype == complex and not atoms.flags.writeable
+        origin_rings = fr.table.r == 0.0
+        if path == "closed":
+            assert np.array_equal(atoms, ref)
+        else:
+            # the quadrature leaves an imaginary residue of a few ulps on the
+            # r = 0 rings, where the exact average is real; the real form drops it
+            assert np.array_equal(atoms[~origin_rings], ref[~origin_rings])
+            assert np.array_equal(atoms.real, ref.real) and not atoms[origin_rings].imag.any()
+            residue = np.max(np.abs(ref[origin_rings].imag), axis=1)
+            assert np.all(residue <= 1e-15 * np.max(np.abs(ref[origin_rings]), axis=1))
+        rows = np.random.default_rng(d).permutation(len(fr))[: len(fr) - 3]
+        assert np.array_equal(fr._atom_rows(rows), atoms[rows])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("window", ["complex-amplitude", "complex-spline"])
+    def test_complex_window_keeps_complex_pairs(self, d, window):
+        if window == "complex-amplitude":
+            w = make_profile(d, 8.0, 1024, GaussianSpec(1.3, 0.7 * np.exp(0.4j)))
+        else:
+            w = make_profile(d, 8.0, 1024, lambda t: (1.0 + t**2) ** -4 * np.exp(1j * t))
+        fr = build_frame(w, LatticeSpec(a=0.5, b=0.5, d=d, jk_max=5))
+        assert fr.pair_matrix.dtype == complex
+        ref = _rebuilt_atoms(fr)
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(fr.atom_matrix - ref) <= 4e-16 * scale)
+        base = make_profile(d, 8.0, 1024, GaussianSpec(2.0 * math.pi))
+        for f in (base, base.with_values(base.values * (1.0 + 0.5j))):
+            res = reconstruct(f, fr, tol=1e-4, max_iter=2000)
+            assert res.converged and res.relative_error <= 1e-4
+            direct = _l2_error(fr, res.coefficients.values, f) / norm(f)
+            assert direct == pytest.approx(res.relative_error, rel=1e-9)
+
+    def test_complex_target_on_real_frame(self, frame8):
+        re = make_profile(2, 8.0, 1024, GaussianSpec(2.0 * math.pi))
+        im = make_profile(2, 8.0, 1024, GaussianSpec(1.0, 0.3))
+        f = re.with_values(re.values + 1j * im.values)
+        res = reconstruct(f, frame8, tol=1e-4, max_iter=2000)
+        assert res.converged and res.relative_error <= 1e-4
+        assert res.error_history[-1] == pytest.approx(res.relative_error, rel=1e-9)
+        direct = _l2_error(frame8, res.coefficients.values, f) / norm(f)
+        assert direct == pytest.approx(res.relative_error, rel=1e-9)
+
+    @pytest.mark.parametrize("noise", [1e-16, 1e-170])
+    def test_rounding_noise_imaginary_part(self, frame8, noise):
+        # a target whose imaginary part is rounding noise is judged on its
+        # whole error, so it stops where its real part does; near tol 1e-8 the
+        # crossing moves by an iteration with the rounding of complex steps
+        re = make_profile(2, 8.0, 1024, GaussianSpec(2.0 * math.pi))
+        jitter = np.random.default_rng(0).standard_normal(re.values.size)
+        f = re.with_values(re.values + 1j * noise * jitter)
+        res, ref = (reconstruct(g, frame8, tol=1e-4, max_iter=2000) for g in (f, re))
+        assert res.converged and res.iterations == ref.iterations
+        np.testing.assert_allclose(res.coefficients.values, ref.coefficients.values, rtol=0.0, atol=1e-12)
+        res, ref = (reconstruct(g, frame8, tol=1e-8, max_iter=2000) for g in (f, re))
+        assert res.converged and res.iterations < 2 * ref.iterations
+
+    @pytest.mark.parametrize("target", [GaussianSpec(2.0 * math.pi), GaussianSpec(0.7, 1.9)])
+    def test_real_target_gives_conjugate_coefficient_pairs(self, frame8, target):
+        gamma = reconstruct(make_profile(2, 8.0, 1024, target), frame8, tol=1e-8).coefficients.values
+        ell = frame8.table.ell
+        plus = np.flatnonzero(ell > 0)
+        assert np.array_equal(gamma[plus - 2 * ell[plus]], np.conj(gamma[plus]))
+        assert not gamma[ell == 0].imag.any()
 
 
 class TestAnalyzeSynthesize:

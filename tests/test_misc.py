@@ -7,6 +7,7 @@ import pytest
 from scipy import special
 
 from radial_gabor.bessel import sph_bessel_values
+from radial_gabor.cli import main
 from radial_gabor.frames import build_frame, worker_count
 from radial_gabor.lattice import LatticeSpec
 from radial_gabor.profiles import normalized_gaussian_window
@@ -21,6 +22,19 @@ class TestWorkerCount:
         monkeypatch.setenv("RADIAL_GABOR_THREADS", "0")
         with pytest.raises(ValueError):
             worker_count()
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "", "-3"])
+    def test_non_integer_env_rejected_naming_it(self, value, monkeypatch):
+        monkeypatch.setenv("RADIAL_GABOR_THREADS", value)
+        with pytest.raises(ValueError, match="RADIAL_GABOR_THREADS must be a positive integer"):
+            worker_count()
+
+    def test_non_integer_env_cli_exit(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("RADIAL_GABOR_THREADS", "abc")
+        assert main(["frame", "--J", "4", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "RADIAL_GABOR_THREADS must be a positive integer" in err
+        assert "Traceback" not in err
 
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("RADIAL_GABOR_THREADS", raising=False)

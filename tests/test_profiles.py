@@ -154,6 +154,39 @@ class TestProfileValidation:
         assert np.array_equal(q.weights, base * radii**2) and np.array_equal(p.weights, q.weights)
         assert np.array_equal(p.with_values(2 * p.values).weights, p.weights)
 
+    def test_derived_profiles_share_the_grid_arrays(self):
+        # with_values and every profile on the same grid reuse one read-only
+        # pair of arrays, bitwise equal to a freshly built grid
+        p = make_profile(3, 6.5, 64, GaussianSpec(1.0))
+        radii, base = make_grid(6.5, 64)
+        derived = (
+            p.with_values(2 * p.values),
+            RadialProfile(3, 6.5, p.values),
+            p.with_values(p.values).with_values(p.values),
+        )
+        for q in derived:
+            assert q.radii is p.radii and q.weights is p.weights
+        assert np.array_equal(p.radii, radii) and np.array_equal(p.weights, base * radii**2)
+        assert not p.radii.flags.writeable and not p.weights.flags.writeable
+        with pytest.raises(ValueError):
+            p.radii[0] = 1.0
+
+    def test_make_profile_builds_the_grid_once(self, monkeypatch):
+        import radial_gabor.profiles as profiles
+
+        calls = []
+
+        def counting(theta_max, n_points):
+            calls.append((theta_max, n_points))
+            return make_grid(theta_max, n_points)
+
+        monkeypatch.setattr(profiles, "make_grid", counting)
+        profiles._profile_grid.cache_clear()
+        p = make_profile(2, 7.25, 128, GaussianSpec(1.0))
+        assert calls == [(7.25, 128)]
+        p.with_values(p.values)
+        assert len(calls) == 1
+
     def test_values_must_be_finite(self):
         values = np.zeros(16, dtype=complex)
         values[3] = np.nan
