@@ -44,7 +44,7 @@ def _inv(p):
 
 def _validate_exponent(p, name: str) -> None:
     if p != math.inf and not 1 <= p:
-        raise ValueError(f"{name} must lie in [1, inf]")
+        raise ValueError(f"parameter {name}: must lie in [1, inf], got {p}")
 
 
 class EmbeddingStatus(str, Enum):
@@ -73,7 +73,7 @@ class EmbeddingQuery:
         if math.isnan(self.t - self.s):
             raise ValueError(f"parameters s, t: t - s is undefined at s = t = {self.s}")
         if self.d < 2:
-            raise ValueError("d must be >= 2")
+            raise ValueError(f"parameter d: dimension must be at least 2, got {self.d}")
 
 
 @dataclass(frozen=True)

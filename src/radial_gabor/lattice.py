@@ -63,9 +63,9 @@ class LatticeSpec:
             name, step = ("a", self.a) if not 0.0 < self.a < math.inf else ("b", self.b)
             raise ValueError(f"parameter {name}: lattice step must be positive and finite, got {step}")
         if self.d < 2:
-            raise ValueError("dimension must be >= 2")
+            raise ValueError(f"parameter d: dimension must be at least 2, got {self.d}")
         if self.jk_max < 1:
-            raise ValueError("jk_max must be >= 1")
+            raise ValueError(f"parameter jk_max: truncation must be at least 1, got {self.jk_max}")
 
 
 def _angle_count_array(j: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -173,6 +173,17 @@ _COARSE_PSI = 1024
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _plane_point(name: str, value, what: str = "a finite point of R^2") -> np.ndarray:
+    """``value`` as a float array of shape (2,) with finite entries."""
+    try:
+        point = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        point = None
+    if point is None or point.shape != (2,) or not np.isfinite(point).all():
+        raise ValueError(f"parameter {name}: must be {what}, got {value!r}")
+    return point
+
+
 def _candidate_rows(value: float, step: float, cap: int, reach: float = 1.0) -> range:
     lo = max(0, math.ceil(value / step - reach - 1e-12))
     hi = min(cap, math.floor(value / step + reach + 1e-12))
@@ -205,18 +216,25 @@ def covered_2d(
     worst-coordinate ratio; candidate atoms are pre-filtered by ring
     distance, and the nearest ring pair's coarse samples are tried first.
     Truncation must satisfy |x|/a + |omega|/b + ra/a + rb/b <= jk_max for
-    a negative answer to be reliable.
+    a negative answer to be reliable.  ``x`` and ``omega`` must be finite
+    points of R^2 and ``radius`` two finite positive numbers; otherwise a
+    ValueError names the parameter.
     """
     if spec.d != 2:
         raise ValueError("covering verification is implemented for d = 2 only")
     a, b = spec.a, spec.b
-    ra, rb = (a, b) if radius is None else (float(radius[0]), float(radius[1]))
+    x, omega = _plane_point("x", x), _plane_point("omega", omega)
+    what = "two finite positive cell radii"
+    ra, rb = (a, b) if radius is None else _plane_point("radius", radius, what).tolist()
     if not (ra > 0.0 and rb > 0.0):
-        raise ValueError("cell radii must be positive")
-    x = np.asarray(x, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    r = float(np.linalg.norm(x))
-    s = float(np.linalg.norm(omega))
+        raise ValueError(f"parameter radius: must be {what}, got {[ra, rb]}")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, beyond every ring
+        r = float(np.linalg.norm(x))
+        s = float(np.linalg.norm(omega))
+    # no ring pair within reach: the rows that come near |x| and |omega|
+    # start past the truncation j + k <= jk_max
+    if max(0.0, (r - ra) / a) + max(0.0, (s - rb) / b) > spec.jk_max + 1:
+        return False
     phi_x = math.atan2(x[1], x[0]) if r > 0.0 else 0.0
     phi_w = math.atan2(omega[1], omega[0]) if s > 0.0 else 0.0
 

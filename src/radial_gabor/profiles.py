@@ -260,10 +260,15 @@ def profile_from_csv(path: str | Path, d: int) -> RadialProfile:
     The radius column must be a composite Gauss-Legendre grid; the profile
     lives on the grid that rebuilds it bit for bit.
     """
-    raw = Path(path).read_text().strip().splitlines()
+    text = Path(path).read_text()
+    raw = text.strip().splitlines()
     if not raw or raw[0].strip() != "theta,re,im":
         raise ValueError("expected header row 'theta,re,im'")
     rows = [line.split(",") for line in raw[1:]]
+    bad = next((i for i, r in enumerate(rows) if len(r) != 3), None)
+    if bad is not None:
+        line = text[: len(text) - len(text.lstrip())].count("\n") + bad + 2  # 1-based, header first
+        raise ValueError(f"line {line}: expected 3 comma-separated fields theta,re,im, got {len(rows[bad])}")
     radii = np.array([float(r[0]) for r in rows])
     values = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
     return RadialProfile(d, _grid_theta_max(radii), values)

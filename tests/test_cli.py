@@ -366,6 +366,24 @@ class TestNonFiniteInput:
         assert not (tmp_path / output).exists()
 
 
+class TestRejectedParameterNamed:
+    @pytest.mark.parametrize(
+        "argv,message,output",
+        [
+            (["lattice", "--J", "0"], "parameter jk_max: truncation must be at least 1, got 0", "lattice.csv"),
+            (["lattice", "--d", "1"], "parameter d: dimension must be at least 2, got 1", "lattice.csv"),
+            (["embed", "--p", "0.5", "--q", "2", "--s", "0", "--t", "0"], "parameter p: must lie in [1, inf], got 0.5",
+             "embed.json"),
+        ],
+        ids=["lattice-J-0", "lattice-d-1", "embed-p-half"],
+    )
+    def test_message_names_parameter(self, argv, message, output, tmp_path, capsys):
+        assert run([*argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / output).exists()
+
+
 class TestConfigFile:
     def test_config_defaults_and_override(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

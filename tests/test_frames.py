@@ -439,10 +439,19 @@ class TestFrameBounds:
         assert hi / lo < 10.0
 
     def test_non_orthonormal_test_basis_rejected(self, frame12):
-        # the QR of the monomials loses orthonormality long before the
-        # basis degenerates: at 30 its Gram is off the identity by 3e4
-        with pytest.raises(ValueError, match="test_dim = 30"):
-            frame_bounds(frame12, 30)
+        # the default grid holds 88 Laguerre-Gauss functions at d = 2; at 100
+        # their Gram on the grid is off the identity by 1e-2
+        with pytest.raises(ValueError, match="parameter test_dim: .* test_dim = 100 .*raise theta_max"):
+            frame_bounds(frame12, 100)
+
+    @pytest.mark.parametrize("test_dim", [30, 80])
+    def test_bounds_up_to_the_grid_capacity(self, frame12, test_dim):
+        # the J = 12 lattice reaches r = s = 6, so A collapses towards 0 by
+        # 80 while B stays at its value on the first few functions
+        lo, hi = frame_bounds(frame12, test_dim)
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert 0.0 <= lo <= hi
+        assert hi == pytest.approx(frame_bounds(frame12, 6)[1], rel=1e-4)
 
     def test_single_direction_collapses(self, frame12):
         lo, hi = frame_bounds(frame12, test_dim=1)
@@ -458,7 +467,7 @@ class TestFrameBounds:
 
         basis = _test_subspace(frame12, 5)
         images = np.array(
-            [frame12._synthesize_values(frame12._analyze_values(e)) for e in basis]
+            [frame12._synthesize_values(analyze(frame12.window.with_values(e), frame12).values) for e in basis]
         )
         area = sphere_area(2)
         m = area * (np.conj(basis) @ (frame12.window.weights[:, None] * images.T))
@@ -518,6 +527,75 @@ class TestFrameBounds:
             frame_bounds(frame8, test_dim=len(frame8) + 1)
 
 
+def _qr_bounds(fr, test_dim):
+    """Frame bounds by the earlier construction: the monomials
+    theta^(2m) exp(-pi theta^2) orthonormalised by one QR, and the Gram
+    conj(C) C^T of their atom coefficients, one basis vector at a time.
+    Returns the bounds of the plain eigensolve, the bounds in the basis's own
+    grid Gram M (which removes the QR's rounding from the reference) and the
+    distance of M from the identity."""
+    from scipy.linalg import eigh
+
+    from radial_gabor.profiles import sphere_area
+
+    theta = fr.window.radii
+    raw = theta[None, :] ** (2 * np.arange(test_dim)[:, None]) * np.exp(-math.pi * theta**2)
+    sw = np.sqrt(sphere_area(fr.window.dim) * fr.window.weights)
+    r = np.linalg.qr((raw * sw).T, mode="r")
+    basis = np.linalg.solve(r.T, raw)
+    coeffs = np.array([analyze(fr.window.with_values(e), fr).values for e in basis])
+    gram = np.conj(coeffs) @ coeffs.T
+    metric = (basis * sw**2) @ basis.T
+    plain = np.linalg.eigvalsh(gram)[[0, -1]]
+    exact = eigh(gram, metric, eigvals_only=True)[[0, -1]]
+    return plain, exact, np.max(np.abs(metric - np.eye(test_dim)))
+
+
+class TestLaguerreGaussBasis:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_orthonormal_on_default_grid(self, d):
+        from radial_gabor.frames import _test_subspace
+        from radial_gabor.profiles import sphere_area
+
+        fr = build_frame(normalized_gaussian_window(d), LatticeSpec(a=0.5, b=0.5, d=d, jk_max=1))
+        basis = _test_subspace(fr, 80)
+        w = sphere_area(d) * fr.window.weights
+        assert np.max(np.abs((basis * w) @ basis.T - np.eye(80))) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_fourier_eigenfunctions(self, d):
+        # F phi_m = (-1)^m phi_m through the grid Hankel transform
+        # f^(rho) = |S^(d-1)| sum_i w_i f(theta_i) B_d(theta_i rho)
+        from radial_gabor.bessel import sph_bessel_values
+        from radial_gabor.frames import _test_subspace
+        from radial_gabor.profiles import sphere_area
+
+        fr = build_frame(normalized_gaussian_window(d), LatticeSpec(a=0.5, b=0.5, d=d, jk_max=1))
+        theta, w = fr.window.radii, sphere_area(d) * fr.window.weights
+        basis = _test_subspace(fr, 60)
+        hankel = (basis * w) @ sph_bessel_values(d, np.outer(theta, theta))
+        signs = (-1.0) ** np.arange(60)
+        assert np.max(np.abs(hankel - signs[:, None] * basis)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["frame12", "d3", "complex-amplitude"])
+    def test_bounds_match_monomial_qr_reference(self, frame12, case):
+        if case == "frame12":
+            fr = frame12
+        elif case == "d3":
+            fr = build_frame(normalized_gaussian_window(3), LatticeSpec(a=0.5, b=0.5, d=3, jk_max=8))
+        else:
+            window = make_profile(2, 8.0, 1024, GaussianSpec(math.pi, 0.7 * np.exp(0.4j)))
+            fr = build_frame(window, LatticeSpec(a=0.5, b=0.5, d=2, jk_max=8))
+            assert fr.pair_matrix.dtype == complex
+        for test_dim in range(1, 11):
+            bounds = np.array(frame_bounds(fr, test_dim))
+            plain, exact, basis_error = _qr_bounds(fr, test_dim)
+            np.testing.assert_allclose(bounds, exact, rtol=1e-13, atol=0.0)
+            # the plain reference carries the QR basis's own rounding (1.6e-12
+            # off the identity at d = 3, test_dim = 10)
+            np.testing.assert_allclose(bounds, plain, rtol=1e-13 + 2.0 * basis_error, atol=0.0)
+
+
 class TestFrameNormEquivalences:
     def test_parseval_sandwich_on_subspace(self, frame12):
         from radial_gabor.frames import _test_subspace
@@ -529,7 +607,7 @@ class TestFrameNormEquivalences:
             c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             values = c @ basis
             f = frame12.window.with_values(values)
-            total = float(np.sum(np.abs(frame12._analyze_values(f.values)) ** 2))
+            total = float(np.sum(np.abs(analyze(f, frame12).values) ** 2))
             nf2 = norm(f) ** 2
             assert lo * nf2 - 1e-9 <= total <= hi * nf2 + 1e-9
 
@@ -549,7 +627,7 @@ class TestFrameNormEquivalences:
         for _ in range(40):
             c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             f = frame12.window.with_values(c @ basis)
-            lam = unnorm._analyze_values(f.values)
+            lam = analyze(f, unnorm).values
             ratios.append(float(np.sum(np.abs(lam) ** 2 * mu)) / norm(f) ** 2)
         assert max(ratios) / min(ratios) <= hi / lo * (1.0 + 1e-9)
 

@@ -2,6 +2,7 @@
 verifier."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,33 @@ class TestCovering:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             covered_2d(np.zeros(2), np.zeros(2), self.SPEC, radius=(0.0, 0.5))
+
+    def test_rejects_point_with_extra_coordinates(self):
+        # |x| would include the third entry while the angle uses the first two
+        with pytest.raises(ValueError, match="parameter x"):
+            covered_2d([1.0, 0.0, 5.0], [0.0, 0.0], LatticeSpec(a=0.5, b=0.5, d=2, jk_max=30))
+        with pytest.raises(ValueError, match="parameter omega"):
+            covered_2d([0.0, 0.0], [[0.0, 0.0]], self.SPEC)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        spec = LatticeSpec(a=0.5, b=0.5, d=2, jk_max=30)
+        with pytest.raises(ValueError, match="parameter x"):
+            covered_2d([bad, 0.0], [0.0, 0.0], spec)
+        with pytest.raises(ValueError, match="parameter omega"):
+            covered_2d([0.0, 0.0], [0.0, bad], spec)
+
+    @pytest.mark.parametrize("radius", [(math.inf, 1.0), (1.0, math.nan), (1.0,), (1.0, -1.0)])
+    def test_rejects_radius_that_is_not_two_finite_positive_numbers(self, radius):
+        with pytest.raises(ValueError, match="parameter radius"):
+            covered_2d([0.0, 0.0], [0.0, 0.0], LatticeSpec(a=0.5, b=0.5, d=2, jk_max=30), radius=radius)
+
+    @pytest.mark.parametrize("x", [[1e300, 0.0], [1e200, 1e200], [16.5, 0.0]])
+    def test_point_beyond_reach_is_not_covered(self, x):
+        # j + k <= 30 reaches |x| = 15.5 with a = 0.5; 1e200 overflows the norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not covered_2d(x, [0.0, 0.0], LatticeSpec(a=0.5, b=0.5, d=2, jk_max=30))
 
     def test_rejects_other_dimensions(self):
         with pytest.raises(ValueError):

@@ -267,6 +267,17 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             profile_from_csv(path, 2)
 
+    @pytest.mark.parametrize("row,fields", [("0.2,1.0", 2), ("0.2,1.0,0.0,9", 4)])
+    def test_rejects_row_without_three_fields(self, tmp_path, row, fields):
+        # the bad row is the fourth line of the file, after the header
+        path = tmp_path / "fields.csv"
+        path.write_text(f"theta,re,im\n0.0,1.0,0.0\n0.1,1.0,0.0\n{row}\n0.3,1.0,0.0\n")
+        with pytest.raises(ValueError, match=f"line 4: expected 3 comma-separated fields .*got {fields}"):
+            profile_from_csv(path, 2)
+        path.write_text(f"\n\ntheta,re,im\n{row}\n")  # leading blank lines count
+        with pytest.raises(ValueError, match="line 4: "):
+            profile_from_csv(path, 2)
+
     def test_rejects_missing_header(self, tmp_path):
         path = tmp_path / "bad2.csv"
         path.write_text("0.1,1.0,0.0\n")
