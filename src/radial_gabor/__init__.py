@@ -63,7 +63,6 @@ from .profiles import (
     sphere_area,
 )
 from .stft import (
-    InsufficientQuadratureError,
     OrbitPoint,
     phi_node_count,
     radial_stft,

@@ -14,11 +14,13 @@ an equivalent-norm surrogate with frame-dependent constants.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingQuery, _inv, approx_number_exponent, fit_decay_slope, h_sequence
+from .embeddings import (EmbeddingQuery, _inv, _validate_exponent, approx_number_exponent,
+                         fit_decay_slope, h_sequence)
 from .frames import CoeffSeq, FrameSystem, NonConvergence, _l2_error, reconstruct
 from .profiles import GaussianSpec, RadialProfile, norm, sphere_area
 
@@ -41,8 +43,12 @@ class ApproxReport:
 
 
 def _check_n(n: int, fr: FrameSystem) -> None:
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"parameter n: must be an integer, got {n!r}") from None
     if n < 0 or n > len(fr):
-        raise ValueError("n must lie in [0, number of atoms]")
+        raise ValueError(f"parameter n: must lie in [0, {len(fr)}] (the atom count), got {n}")
 
 
 def _ranked_dual(f, fr, q_exp, t_exp, tol, max_iter, scores=None):
@@ -96,7 +102,7 @@ def _ranked_report(f, fr, query: EmbeddingQuery, n_list, tol, max_iter, referenc
     rule.  Errors at or below 20 tol ||f|| measure the solver, not the
     approximation, and stay out of the slope fit."""
     if query.d != fr.spec.d:
-        raise ValueError("query dimension does not match the frame")
+        raise ValueError(f"parameter d: the query has d = {query.d}, the frame d = {fr.spec.d}")
     n_values = sorted(int(n) for n in n_list)
     for n in n_values:
         _check_n(n, fr)
@@ -121,7 +127,7 @@ def linear_approx(
     otherwise; the fitted log-log slope is reported next to the reference
     rate -(d-1)/3 (1/p - 1/q).
     """
-    h = h_sequence(fr.table, query, fr.spec.b)
+    h = h_sequence(fr.table, query)
     reference = -float(approx_number_exponent(query.p, query.q, query.d))
     return _ranked_report(f, fr, query, n_list, tol, max_iter, reference, scores=h)
 
@@ -167,6 +173,9 @@ def nterm_greedy(
     coefficients spread over dependent atoms.
     """
     _check_n(n, fr)
+    _validate_exponent(q_exp, "q_exp")
+    if math.isnan(t_exp):
+        raise ValueError("parameter t_exp: must be a number, got nan")
     gamma, weighted, order = _ranked_dual(f, fr, q_exp, t_exp, tol, max_iter)
     kept = order[:n]
     values = gamma[kept]

@@ -94,12 +94,15 @@ def _cmd_omega(args) -> int:
     window = _window_profile(args.window, args.d, args.theta_max, args.n_points)
     point = OrbitPoint(args.r, args.s, args.c)
     out = Path(args.out) / "omega.csv"
-    profile_to_csv(rot_avg_shift(window, point, quad_nodes=args.quad_nodes), out)
+    profile_to_csv(rot_avg_shift(window, point), out)
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_stft(args) -> int:
+    for name in ("r", "s", "c"):
+        if not getattr(args, name):
+            raise ValueError(f"parameter {name}: must name at least one value")
     window = _window_profile(args.window, args.d, args.theta_max, args.n_points)
     target = _window_profile(args.target, args.d, args.theta_max, args.n_points)
     points = [(r, s, c) for r in args.r for s in args.s for c in args.c]
@@ -190,8 +193,9 @@ def _cmd_approx(args) -> int:
 def _cmd_covering(args) -> int:
     if args.num_points < 1:
         raise ValueError(f"parameter num_points: must be positive, got {args.num_points}")
-    if not 0 < args.box < math.inf:
-        raise ValueError(f"parameter box: must be positive and finite, got {args.box}")
+    # the sampling range [-box, box] needs a finite width 2 box
+    if not (0 < args.box and math.isfinite(2.0 * args.box)):
+        raise ValueError(f"parameter box: must be positive with 2 * box finite, got {args.box}")
     spec = LatticeSpec(a=args.a, b=args.b, d=2, jk_max=args.J)
     rng = np.random.default_rng(args.seed)
     pts = rng.uniform(-args.box, args.box, size=(args.num_points, 4))
@@ -256,7 +260,6 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--window", default="gauss", choices=sorted(WINDOWS))
-    p.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None)
     p.set_defaults(func=_cmd_omega)
 
     p = sub.add_parser("stft", help="radial STFT coefficients on a grid of orbit points")

@@ -105,17 +105,14 @@ def classify_embedding(query: EmbeddingQuery) -> EmbeddingVerdict:
     return EmbeddingVerdict(status, alpha, threshold)
 
 
-def h_sequence(
-    lat: LatticeTable,
-    query: EmbeddingQuery,
-    b_step: float,
-) -> np.ndarray:
-    """Weight-ratio sequence (1 + b k)^(t-s) mu^(-alpha) on the lattice;
-    bounded iff the embedding is continuous, vanishing iff compact."""
+def h_sequence(lat: LatticeTable, query: EmbeddingQuery) -> np.ndarray:
+    """Weight-ratio sequence (1 + b k)^(t-s) mu^(-alpha) on the lattice,
+    with b = ``lat.spec.b``; bounded iff the embedding is continuous,
+    vanishing iff compact."""
     alpha = float(_inv(query.p) - _inv(query.q))
     if alpha < 0.0:
         raise ValueError("h_sequence requires p <= q")
-    return (1.0 + b_step * lat.k.astype(float)) ** (query.t - query.s) * lat.mu ** (-alpha)
+    return (1.0 + lat.spec.b * lat.k.astype(float)) ** (query.t - query.s) * lat.mu ** (-alpha)
 
 
 def rearrange(v) -> np.ndarray:

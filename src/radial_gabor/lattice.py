@@ -135,7 +135,8 @@ class LatticeTable:
 
 def lattice_table(spec: LatticeSpec) -> LatticeTable:
     """All lattice atoms with j + k <= jk_max in lexicographic (j, k, ell)
-    order, built with vectorized arithmetic."""
+    order, built with vectorized arithmetic.  Weights mu that overflow
+    float64 (high d) raise a ValueError naming d."""
     pair_j, pair_k = _ring_pairs(spec.jk_max)
     n_pair = _angle_count_array(pair_j, pair_k)
     counts = 2 * n_pair + 1
@@ -145,6 +146,13 @@ def lattice_table(spec: LatticeSpec) -> LatticeTable:
     n = np.repeat(n_pair, counts)
     offsets = np.concatenate([[0], np.cumsum(counts)])[:-1]
     ell = np.arange(counts.sum()) - np.repeat(offsets + n_pair, counts)
+    with np.errstate(over="ignore"):
+        mu = _mu(j, k, ell, n, spec.d)
+    if not np.isfinite(mu).all():
+        raise ValueError(
+            f"parameter d: the lattice weights mu overflow float64 at d = {spec.d}, "
+            f"jk_max = {spec.jk_max}; lower d or jk_max"
+        )
     return LatticeTable(
         spec=spec,
         j=j,
@@ -154,7 +162,7 @@ def lattice_table(spec: LatticeSpec) -> LatticeTable:
         r=spec.a * j.astype(float),
         s=spec.b * k.astype(float),
         c=np.where(n == 0, 1.0, np.sin(_half_angle(ell, n))),
-        mu=_mu(j, k, ell, n, spec.d),
+        mu=mu,
     )
 
 

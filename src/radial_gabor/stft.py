@@ -11,8 +11,8 @@ the single integral
         + r^2)) * exp(2 pi i theta s c cos(phi))
         * B_(d-1)(theta s sin(alpha) sin(phi)) * sin(phi)^(d-2) d phi,
 
-evaluated here by Gauss-Legendre quadrature on [0, pi] with a node count
-that grows with the total oscillation theta_max * (r + s).
+evaluated here by Gauss-Legendre quadrature on [0, pi] with the node count
+of ``phi_node_count``, which grows with the oscillation theta_max * (r + s).
 
 For a Gaussian g(theta) = A exp(-alpha theta^2) the average is exact,
 
@@ -52,7 +52,6 @@ from .bessel import sph_bessel_values
 from .profiles import GaussianSpec, RadialProfile, inner, sphere_area
 
 __all__ = [
-    "InsufficientQuadratureError",
     "OrbitPoint",
     "phi_node_count",
     "rot_avg_shift",
@@ -60,11 +59,6 @@ __all__ = [
     "stft_direct_2d",
     "stft_rotation_average_2d",
 ]
-
-
-class InsufficientQuadratureError(ValueError):
-    """Raised when a caller-supplied node count cannot resolve the
-    oscillation of the averaged shift integrand."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,12 @@ def _gl_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 _MAX_PHI_NODES = 2**27 // 1024
 
 
-def _phi_min_nodes(theta_max: float, r: float, s: float) -> int:
+def phi_node_count(theta_max: float, r: float, s: float) -> int:
+    """Gauss-Legendre node count on [0, pi] for the orbit (r, s): the
+    oscillation-resolving minimum 8 (1 + theta_max (r + s)), at least 64,
+    rounded up to a multiple of 32 so rules can be cached across lattice
+    rings.  A ValueError naming r or s refuses a count above
+    ``_MAX_PHI_NODES``, whose sample arrays cannot be allocated."""
     need = 8.0 * (1.0 + theta_max * s + theta_max * r)
     if not need <= _MAX_PHI_NODES:
         name = "r" if r >= s else "s"
@@ -120,16 +119,7 @@ def _phi_min_nodes(theta_max: float, r: float, s: float) -> int:
             f"parameter {name}: the orbit (r, s) = ({r:g}, {s:g}) needs {need:.3g} phi-quadrature "
             f"nodes at theta_max = {theta_max:g}, above the {_MAX_PHI_NODES} that can be allocated"
         )
-    return max(64, math.ceil(need))
-
-
-def phi_node_count(theta_max: float, r: float, s: float) -> int:
-    """Default Gauss-Legendre node count on [0, pi]: the oscillation
-    resolving minimum, rounded up to a multiple of 32 so rules can be
-    cached across lattice rings.  A ValueError naming r or s refuses a
-    count above ``_MAX_PHI_NODES``, whose sample arrays cannot be
-    allocated."""
-    return ((_phi_min_nodes(theta_max, r, s) + 31) // 32) * 32
+    return ((max(64, math.ceil(need)) + 31) // 32) * 32
 
 
 def _shifted_window_samples(
@@ -244,32 +234,16 @@ def _gaussian_real_axis(radii: np.ndarray, d: int, w: float, exponent: np.ndarra
     return out
 
 
-def rot_avg_shift(
-    window: RadialProfile,
-    point: OrbitPoint,
-    quad_nodes: int | None = None,
-) -> RadialProfile:
+def rot_avg_shift(window: RadialProfile, point: OrbitPoint) -> RadialProfile:
     """Apply the rotation-averaged time-frequency shift at ``point`` to a
-    radial profile, sampled on the profile's own grid.
+    radial profile, sampled on the profile's own grid with the node count
+    of ``phi_node_count`` (a ValueError naming r or s above its cap).
 
     The result is linear in ``window`` and contractive in L2 norm (the
-    operator is an average of unitaries).  Node counts above
-    ``_MAX_PHI_NODES`` raise a ValueError naming ``quad_nodes`` when given,
-    else r or s.
+    operator is an average of unitaries).
     """
-    if quad_nodes is None:
-        quad_nodes = phi_node_count(window.theta_max, point.r, point.s)
-    else:
-        if quad_nodes > _MAX_PHI_NODES:
-            raise ValueError(
-                f"parameter quad_nodes: {quad_nodes} exceeds the {_MAX_PHI_NODES} nodes that can be allocated"
-            )
-        required = _phi_min_nodes(window.theta_max, point.r, point.s)
-        if quad_nodes < required:
-            raise InsufficientQuadratureError(
-                f"quad_nodes={quad_nodes} is below the resolving minimum {required}"
-            )
-    return window.with_values(_averaged_shift_values(window, point, quad_nodes)[0])
+    nodes = phi_node_count(window.theta_max, point.r, point.s)
+    return window.with_values(_averaged_shift_values(window, point, nodes)[0])
 
 
 def radial_stft(f: RadialProfile, g: RadialProfile, point: OrbitPoint) -> complex:

@@ -71,9 +71,10 @@ class TestLinearApprox:
         assert rep.fitted_slope <= -1.0 / 6.0 + 0.1
 
     def test_dimension_mismatch_rejected(self, frame10, target):
-        with pytest.raises(ValueError):
+        message = "parameter d: the query has d = 3, the frame d = 2"
+        with pytest.raises(ValueError, match=message):
             linear_approx(target, frame10, EmbeddingQuery(1, 2, 0, 0, 3), [1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             nterm_approx(target, frame10, EmbeddingQuery(1, 2, 0, 0, 3), [1])
 
     @pytest.mark.parametrize("bad", [-1, "len+1"])
@@ -142,6 +143,27 @@ class TestNtermGreedy:
         got = sorted((p.j, p.k, p.ell) for p in seq.entries)
         assert got == want
         assert err <= 10.0 * tol * norm(f)
+
+    @pytest.mark.parametrize(
+        "n,q_exp,t_exp,parameter",
+        [
+            (4, 0.0, 0.0, "q_exp"),
+            (4, math.nan, 0.0, "q_exp"),
+            (4, 0.5, 0.0, "q_exp"),
+            (4, 2.0, math.nan, "t_exp"),
+            (2.5, 2.0, 0.0, "n"),
+        ],
+        ids=["q-zero", "q-nan", "q-half", "t-nan", "n-float"],
+    )
+    def test_rejected_before_solve(self, frame10, target, monkeypatch, n, q_exp, t_exp, parameter):
+        from radial_gabor import approximation
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the dual was solved before the parameters were checked")
+
+        monkeypatch.setattr(approximation, "reconstruct", no_solve)
+        with pytest.raises(ValueError, match=f"parameter {parameter}:"):
+            nterm_greedy(target, frame10, n, q_exp, t_exp, tol=TOL, max_iter=MAX_ITER)
 
     def test_oversized_selection_rejected(self, frame10, target):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ byte-level determinism."""
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,14 @@ class TestLattice:
 
     def test_invalid_parameter_exit_code(self, tmp_path, capsys):
         assert run(["lattice", "--J", "0", "--out", str(tmp_path)]) == 1
+
+    def test_overflowing_weights_exit(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["lattice", "--d", "300", "--J", "40", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "parameter d" in err and "Traceback" not in err
+        assert not (tmp_path / "lattice.csv").exists()
 
     def test_unparseable_flag_exit_code(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -113,13 +122,6 @@ class TestOmega:
         assert np.max(np.abs(rows[:, 1] - np.exp(-rows[:, 0] ** 2))) < 1e-12
         assert np.max(np.abs(rows[:, 2])) < 1e-15
 
-    def test_quadrature_validation_exit(self, tmp_path):
-        code = run(
-            ["omega", "--d", "2", "--r", "4", "--s", "2", "--c", "0.5",
-             "--quad-nodes", "8", "--out", str(tmp_path)]
-        )
-        assert code == 1
-
     def test_unallocatable_node_count_exit(self, tmp_path, capsys):
         assert run(["omega", "--r", "1e200", "--s", "1", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -138,6 +140,13 @@ class TestStft:
         assert len(lines) - 1 == 4
         first = [float(v) for v in lines[1].split(",")]
         assert first[5] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("flag", ["r", "s", "c"])
+    def test_empty_list_rejected(self, flag, tmp_path, capsys):
+        assert run(["stft", f"--{flag}", "", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"parameter {flag}: must name at least one value" in err
+        assert not (tmp_path / "stft.csv").exists()
 
 
 class TestFrame:
@@ -334,7 +343,7 @@ class TestCovering:
         assert "parameter num_points" in capsys.readouterr().err
         assert not (tmp_path / "covering.json").exists()
 
-    @pytest.mark.parametrize("box", ["0", "-5", "inf"])
+    @pytest.mark.parametrize("box", ["0", "-5", "inf", "1e308"])
     def test_nonpositive_box_rejected(self, box, tmp_path, monkeypatch, capsys):
         from radial_gabor import cli
 

@@ -102,12 +102,12 @@ class TestClassifyEmbedding:
 class TestHSequence:
     def test_constant_when_trivial(self):
         tab = lattice_table(LatticeSpec(a=0.5, b=0.5, d=2, jk_max=6))
-        h = h_sequence(tab, EmbeddingQuery(2, 2, 0.3, 0.3, 2), 0.5)
+        h = h_sequence(tab, EmbeddingQuery(2, 2, 0.3, 0.3, 2))
         assert np.all(h == 1.0)
 
     def test_interior_values_d2(self):
         tab = lattice_table(LatticeSpec(a=0.5, b=0.5, d=2, jk_max=8))
-        h = h_sequence(tab, EmbeddingQuery(1, 2, 0.4, 0.4, 2), 0.5)
+        h = h_sequence(tab, EmbeddingQuery(1, 2, 0.4, 0.4, 2))
         mask = (tab.j >= 1) & (tab.k >= 1) & (tab.ell == 0)
         expected = (tab.j[mask] + tab.k[mask]).astype(float) ** -0.5
         assert np.allclose(h[mask], expected, rtol=1e-12)
@@ -126,7 +126,7 @@ class TestHSequence:
             t = s + float(rng.uniform(-1.2, 1.0)) * alpha * (d - 1)
             verdict = classify_embedding(EmbeddingQuery(p, q, s, t, d))
             tab_d = lattice_table(LatticeSpec(a=0.5, b=0.5, d=d, jk_max=128))
-            h = h_sequence(tab_d, EmbeddingQuery(p, q, s, t, d), 0.5)
+            h = h_sequence(tab_d, EmbeddingQuery(p, q, s, t, d))
             seq = rearrange(h)
             ns = [2**e for e in range(4, 16)]
             slope, _ = fit_decay_slope(ns, seq[np.array(ns) - 1])

@@ -134,6 +134,20 @@ class TestLatticeBuild:
         with pytest.raises(ValueError, match=f"parameter {parameter}"):
             LatticeSpec(a=a, b=b, d=2, jk_max=3)
 
+    @pytest.mark.parametrize("d,jk_max", [(300, 40), (200, 12)])
+    def test_overflowing_weights_rejected(self, d, jk_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"parameter d: .*d = {d}"):
+                lattice_table(LatticeSpec(a=0.5, b=0.5, d=d, jk_max=jk_max))
+
+    def test_high_dimension_weights_finite(self):
+        # the largest weight at d = 160, J = 8 is (4 + 4) (4 * 4)^158 at
+        # j = k = 4, ell = 0, inside float64
+        tab = lattice_table(LatticeSpec(a=0.5, b=0.5, d=160, jk_max=8))
+        assert np.all(np.isfinite(tab.mu))
+        assert tab.mu.max() == pytest.approx(8.0 * 16.0**158, rel=1e-12)
+
     def test_csv_export(self, tmp_path):
         spec = LatticeSpec(a=0.5, b=0.5, d=2, jk_max=3)
         path = tmp_path / "lattice.csv"

@@ -50,9 +50,9 @@ class TestWorkerCount:
         assert np.array_equal(serial, threaded)
 
 
-class TestHighDimensionFallback:
+class TestHighDimensionBessel:
     @pytest.mark.parametrize("d", [11, 12])
-    def test_vectorized_falls_back_to_scalar(self, d):
+    def test_hyp0f1_matches_bessel_form(self, d):
         # hyp0f1 on the array against the per-point Bessel form
         # Gamma(a+1) (pi t)^(-a) J_a(2 pi t), a = (d-2)/2, with B_d(0) = 1
         t = np.array([0.0, 0.3, 2.7, 14.5])

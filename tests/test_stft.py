@@ -16,7 +16,6 @@ from radial_gabor.profiles import (
     normalized_gaussian_window,
 )
 from radial_gabor.stft import (
-    InsufficientQuadratureError,
     OrbitPoint,
     _gaussian_shift_values,
     phi_node_count,
@@ -119,18 +118,16 @@ class TestRotAvgShift:
     def test_quadrature_rule_enforced(self):
         g = normalized_gaussian_window(2)
         minimum = max(64, math.ceil(8.0 * (1.0 + g.theta_max * 3.0 + g.theta_max * 3.0)))
-        with pytest.raises(InsufficientQuadratureError):
-            rot_avg_shift(g, OrbitPoint(3.0, 3.0, 0.0), quad_nodes=minimum - 1)
-        rot_avg_shift(g, OrbitPoint(3.0, 3.0, 0.0), quad_nodes=minimum)
         assert phi_node_count(g.theta_max, 3.0, 3.0) >= minimum
 
     def test_node_doubling_converged(self):
         g = normalized_gaussian_window(2)
         p = OrbitPoint(2.0, 3.0, -0.4)
         need = phi_node_count(g.theta_max, p.r, p.s)
-        a = rot_avg_shift(g, p, quad_nodes=need).values
-        b = rot_avg_shift(g, p, quad_nodes=2 * need).values
+        a = stft._averaged_shift_values(g, p, need)[0]
+        b = stft._averaged_shift_values(g, p, 2 * need)[0]
         assert np.max(np.abs(a - b)) < 1e-9
+        assert np.array_equal(a, rot_avg_shift(g, p).values)
 
     def test_spline_path_matches_analytic_path(self):
         analytic = normalized_gaussian_window(2)
@@ -172,11 +169,6 @@ class TestRotAvgShift:
             rot_avg_shift(window, OrbitPoint(r, 1.0, 0.5))
         with pytest.raises(ValueError, match="parameter s"):
             radial_stft(window, window, OrbitPoint(1.0, r, 0.5))
-
-    def test_unallocatable_quad_nodes_rejected(self, no_phi_grid):
-        g = normalized_gaussian_window(2)
-        with pytest.raises(ValueError, match="parameter quad_nodes"):
-            rot_avg_shift(g, OrbitPoint(1.0, 1.0, 0.5), quad_nodes=10**9)
 
 
 def complex_closed_form(g, radii, d, p):
