@@ -42,13 +42,18 @@ class ApproxReport:
     reference_slope: float
 
 
-def _check_n(n: int, fr: FrameSystem) -> None:
+def _integer_n(n) -> int:
     try:
-        n = operator.index(n)
+        return operator.index(n)
     except TypeError:
         raise ValueError(f"parameter n: must be an integer, got {n!r}") from None
+
+
+def _check_n(n, fr: FrameSystem) -> int:
+    n = _integer_n(n)
     if n < 0 or n > len(fr):
         raise ValueError(f"parameter n: must lie in [0, {len(fr)}] (the atom count), got {n}")
+    return n
 
 
 def _ranked_dual(f, fr, q_exp, t_exp, tol, max_iter, scores=None):
@@ -103,9 +108,7 @@ def _ranked_report(f, fr, query: EmbeddingQuery, n_list, tol, max_iter, referenc
     approximation, and stay out of the slope fit."""
     if query.d != fr.spec.d:
         raise ValueError(f"parameter d: the query has d = {query.d}, the frame d = {fr.spec.d}")
-    n_values = sorted(int(n) for n in n_list)
-    for n in n_values:
-        _check_n(n, fr)
+    n_values = sorted(_check_n(n, fr) for n in n_list)
     gamma, weighted, order = _ranked_dual(f, fr, query.q, query.t, tol, max_iter, scores)
     errors = [_truncation_error(f, fr, gamma, weighted, order, n, query.q, query.t) for n in n_values]
     slope = _fitted_slope(n_values, errors, 20.0 * tol * norm(f))
@@ -289,7 +292,7 @@ def gabor_baseline_2d(f: GaussianSpec, g: GaussianSpec, a: float, b: float, n_li
     right-hand side is the atoms' own coefficients.  The error
     sqrt(||f||^2 - proj) bottoms out near 1e-8 ||f|| from rounding.
     """
-    n_values = sorted(int(n) for n in n_list)
+    n_values = sorted(_integer_n(n) for n in n_list)
     if n_values and n_values[0] < 0:
         raise ValueError("n must be nonnegative")
     sel = _baseline_atoms(f, g, a, b, n_values[-1] if n_values else 0)

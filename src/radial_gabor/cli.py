@@ -344,8 +344,8 @@ def _apply_config(parser: _Parser, argv: list[str]) -> list[str]:
         if "=" not in line:
             raise ValueError(f"parameter config: line {line_no} is not key=value")
         key, value = line.split("=", 1)
-        extra.append(f"--{key.strip().replace('_', '-')}")
-        extra.append(value.strip())
+        # one --key=value token, so that a value such as -inf is not read as a flag
+        extra.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     # config-derived flags go right after the subcommand so that explicit
     # command-line flags override them
     return argv[:1] + extra + argv[1:]

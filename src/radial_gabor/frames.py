@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .lattice import LatticeIndex, LatticeSpec, LatticeTable, lattice_table
 from .profiles import GaussianSpec, RadialProfile, _check_compatible, _write_csv, norm, sphere_area
@@ -468,18 +467,24 @@ def _l2_error(fr: FrameSystem, gamma: np.ndarray, f: RadialProfile) -> float:
 
 def _test_subspace(fr: FrameSystem, test_dim: int) -> np.ndarray:
     """Rows phi_m, m < test_dim, on the window's grid: the Laguerre-Gauss
-    basis c_m L_m^(nu)(2 pi theta^2) exp(-pi theta^2) of span{theta^(2m)
+    basis c_m L_m^(nu)(x) exp(-x/2), x = 2 pi theta^2, of span{theta^(2m)
     exp(-pi theta^2)}, nu = d/2 - 1, orthonormal in L2 with c_m =
-    sqrt(4 pi (2 pi)^nu / |S^(d-1)|) sqrt(m! / Gamma(m + nu + 1)).  Integer
-    orders keep ``eval_genlaguerre`` on its accurate path.  A grid holds the
-    basis up to a capacity that theta_max sets (87-88 at 8, 209 at 12 on 2,048
-    points); a Gram off the identity by more than 1e-8 is rejected."""
-    theta, d, m = fr.window.radii, fr.window.dim, np.arange(test_dim)
+    sqrt(4 pi (2 pi)^nu / |S^(d-1)|) sqrt(m! / Gamma(m + nu + 1)).  The rows
+    come from the normalised three-term recurrence phi_(m+1) = ((2m + 1 +
+    nu - x) phi_m - sqrt(m (m + nu)) phi_(m-1)) / sqrt((m + 1)(m + nu + 1)),
+    which stays finite where L_m alone overflows (m ~ 280 at theta_max 16).
+    A grid holds the basis up to a capacity that theta_max sets (87-88 at 8,
+    209 at 12 on 2,048 points); a Gram off the identity by more than 1e-8 is
+    rejected."""
+    theta, d = fr.window.radii, fr.window.dim
     nu, area = d / 2 - 1, sphere_area(d)
-    log_c = 0.5 * (math.log(4 * math.pi * (2 * math.pi) ** nu / area) + gammaln(m + 1) - gammaln(m + nu + 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan past the capacity fail the guard
-        basis = eval_genlaguerre(m[:, None], nu, 2 * math.pi * theta**2) * np.exp(log_c[:, None] - math.pi * theta**2)
-        error = np.max(np.abs((basis * (area * fr.window.weights)) @ basis.T - np.eye(test_dim)))
+    x = 2 * math.pi * theta**2
+    basis = np.empty((test_dim, theta.size))
+    basis[0] = math.exp(0.5 * (math.log(4 * math.pi * (2 * math.pi) ** nu / area) - math.lgamma(nu + 1))) * np.exp(-x / 2)
+    for m in range(test_dim - 1):
+        prev = math.sqrt(m * (m + nu)) * basis[m - 1] if m else 0.0
+        basis[m + 1] = ((2 * m + 1 + nu - x) * basis[m] - prev) / math.sqrt((m + 1) * (m + nu + 1))
+    error = np.max(np.abs((basis * (area * fr.window.weights)) @ basis.T - np.eye(test_dim)))
     if not error <= 1e-8:
         raise ValueError(f"parameter test_dim: the test basis is not orthonormal on the grid at test_dim = "
                          f"{test_dim} (Gram error {error:.1e}); reduce test_dim or raise theta_max")

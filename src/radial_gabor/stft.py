@@ -208,8 +208,9 @@ def _gaussian_shift_values(
     # roundoff, while z^-nu overflows as z -> 0 (the origin atom has z = 0)
     big = np.abs(z) > 1e-8
     zb = z[big]
-    out[big] = (gamma(nu + 1.0) * zb ** (-nu) * ive(nu, 2.0 * zb)
-                * np.exp(2.0 * zb.real + exponent[big]))
+    with np.errstate(over="ignore", invalid="ignore"):  # build_frame reports non-finite atoms (high d)
+        out[big] = (gamma(nu + 1.0) * zb ** (-nu) * ive(nu, 2.0 * zb)
+                    * np.exp(2.0 * zb.real + exponent[big]))
     return g.amp * out, g.amp * np.conj(out)
 
 
@@ -230,7 +231,8 @@ def _gaussian_real_axis(radii: np.ndarray, d: int, w: float, exponent: np.ndarra
     zb = z[big]
     # the Cephes i0e takes about a sixth of the time of ive on 1024 points
     scaled_iv = i0e(2.0 * zb) if d == 2 else ive(nu, 2.0 * zb)
-    out[big] = gamma(nu + 1.0) * zb ** (-nu) * scaled_iv * np.exp(2.0 * zb + exponent[big])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _gaussian_shift_values
+        out[big] = gamma(nu + 1.0) * zb ** (-nu) * scaled_iv * np.exp(2.0 * zb + exponent[big])
     return out
 
 

@@ -93,6 +93,23 @@ class TestLinearApprox:
         with pytest.raises(ValueError):
             nterm_approx(target, frame10, QUERY, [0, 4, n], tol=TOL, max_iter=MAX_ITER)
 
+    @pytest.mark.parametrize("approx", [linear_approx, nterm_approx], ids=["linear", "nterm"])
+    def test_non_integer_n_rejected_before_solve(self, frame10, target, monkeypatch, approx):
+        from radial_gabor import approximation
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the dual was solved before n was checked")
+
+        monkeypatch.setattr(approximation, "reconstruct", no_solve)
+        for n_list in ([2.5, 7.9], [2, np.float64(4.0)]):
+            with pytest.raises(ValueError, match="parameter n: must be an integer"):
+                approx(target, frame10, QUERY, n_list, tol=TOL, max_iter=MAX_ITER)
+
+    @pytest.mark.parametrize("approx", [linear_approx, nterm_approx], ids=["linear", "nterm"])
+    def test_numpy_integer_n_accepted(self, frame10, target, approx):
+        rep = approx(target, frame10, QUERY, np.array([4, 0]), tol=TOL, max_iter=MAX_ITER)
+        assert rep.n_values == (0, 4) and all(type(n) is int for n in rep.n_values)
+
     def test_weighted_norm_route(self, frame10, target):
         q = EmbeddingQuery(1, 4, 0, -0.5, 2)
         rep = linear_approx(target, frame10, q, [0, 4, 16, 64], tol=TOL, max_iter=MAX_ITER)
@@ -342,6 +359,12 @@ class TestGaborBaseline:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             gabor_baseline_2d(self.F, self.G, 0.5, 0.5, [-1, 4])
+
+    def test_non_integer_n_rejected(self):
+        with pytest.raises(ValueError, match="parameter n: must be an integer"):
+            gabor_baseline_2d(self.F, self.G, 0.5, 0.5, [2.5, 7.9])
+        rep = gabor_baseline_2d(self.F, self.G, 0.5, 0.5, np.array([4, 0]))
+        assert rep.n_values == (0, 4)
 
     def test_errors_eventually_small(self):
         rep = gabor_baseline_2d(self.F, self.G, 0.5, 0.5, [128])

@@ -3,7 +3,10 @@ byte-level determinism."""
 
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +202,22 @@ class TestFrame:
         assert run(["frame", "--d", "2", "--J", "3", "--out", str(target)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert target.read_bytes() == b"keep me\n"
+
+    def test_non_finite_atoms_reported_without_warnings(self, tmp_path):
+        # the Gaussian kernel overflows on some atoms at d = 160; the one
+        # report is build_frame's message, with no numpy RuntimeWarning
+        import radial_gabor
+
+        src = str(Path(radial_gabor.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "radial_gabor.cli", "frame", "--d", "160", "--J", "8",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: 4 of 121 atoms have non-finite values at d = 160\n"
 
     def test_outputs_follow_umask(self, tmp_path, capsys):
         previous = os.umask(0o022)
@@ -419,6 +438,12 @@ class TestConfigFile:
             run(["lattice", "--conf", str(config), "--out", str(tmp_path)])
         assert exc.value.code == 1
         assert not (tmp_path / "lattice.csv").exists()
+
+    def test_value_with_leading_minus(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("p=1\nq=2\ns=-inf\nt=0\n")
+        assert run(["embed", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert '"s": "-inf"' in (tmp_path / "embed.json").read_text()
 
     def test_missing_config_exit(self, tmp_path):
         assert run(["lattice", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1

@@ -453,6 +453,17 @@ class TestFrameBounds:
         assert 0.0 <= lo <= hi
         assert hi == pytest.approx(frame_bounds(frame12, 6)[1], rel=1e-4)
 
+    def test_basis_past_280_functions_on_a_wide_grid(self):
+        # L_m^(0)(2 pi theta^2) alone overflows float64 near m = 280 on
+        # theta_max 16; the normalised recurrence holds the basis to 353 there
+        window = normalized_gaussian_window(2, theta_max=16.0, n_points=4096)
+        fr = build_frame(window, LatticeSpec(a=0.5, b=0.5, d=2, jk_max=14))
+        lo, hi = frame_bounds(fr, 320)
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert 0.0 <= lo <= hi
+        with pytest.raises(ValueError, match="parameter test_dim: .* test_dim = 400 "):
+            frame_bounds(fr, 400)
+
     def test_single_direction_collapses(self, frame12):
         lo, hi = frame_bounds(frame12, test_dim=1)
         g = frame12.window

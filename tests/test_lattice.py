@@ -277,11 +277,28 @@ class TestCovering:
             mine = covered_2d(p[:2], p[2:], spec)
             ref = brute(p[:2], p[2:])
             # the sampled brute force can miss razor-thin intersections that
-            # golden-section refinement finds; only that direction is allowed
+            # the exact arc test finds; only that direction is allowed
             if mine != ref:
                 assert mine and not ref
                 disagreements += 1
         assert disagreements <= 1
+
+    @pytest.mark.parametrize("phi_x", [0.0, 1.0, -2.5, 3.1])
+    @pytest.mark.parametrize("gap, expected", [(1e-11, False), (-1e-11, True)])
+    def test_decides_a_miss_of_1e_11_radians(self, phi_x, gap, expected):
+        # |x| = |omega| = 3 reaches only ring pair (6, 6), N = 2; cells of
+        # radius 0.2 fit x on an arc of rotations of half-width
+        # arccos(1 - 0.04/18) around phi_x, and omega on one as wide around
+        # phi_w - pi/4 for the atom ell = 1.  Arcs that miss by 1e-11 rad
+        # leave the point uncovered; arcs that overlap by 1e-11 rad cover it.
+        spec = LatticeSpec(a=0.5, b=0.5, d=2, jk_max=12)
+        phi_w = phi_x + math.pi / 4.0 + 2.0 * math.acos(1.0 - 0.04 / 18.0) + gap
+        x = 3.0 * np.array([math.cos(phi_x), math.sin(phi_x)])
+        w = 3.0 * np.array([math.cos(phi_w), math.sin(phi_w)])
+        assert covered_2d(x, w, spec, radius=(0.2, 0.2)) is expected
+        # the reflection (x, omega) -> (conj x, conj omega) preserves the cells
+        flip = np.array([1.0, -1.0])
+        assert covered_2d(flip * x, flip * w, spec, radius=(0.2, 0.2)) is expected
 
     def test_covered_fraction_on_random_sample(self):
         # the strict-radius cells provably leave gaps (see the acceptance
