@@ -294,7 +294,7 @@ def gabor_baseline_2d(f: GaussianSpec, g: GaussianSpec, a: float, b: float, n_li
     """
     n_values = sorted(_integer_n(n) for n in n_list)
     if n_values and n_values[0] < 0:
-        raise ValueError("n must be nonnegative")
+        raise ValueError(f"parameter n: must be nonnegative, got {n_values[0]}")
     sel = _baseline_atoms(f, g, a, b, n_values[-1] if n_values else 0)
     f1, g1 = _gaussian_1d_factor(f), _gaussian_1d_factor(g)
     xa, xb, wa, wb = a * sel[:, 0], a * sel[:, 1], b * sel[:, 2], b * sel[:, 3]

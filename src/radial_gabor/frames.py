@@ -47,13 +47,11 @@ import numpy as np
 
 from .lattice import LatticeIndex, LatticeSpec, LatticeTable, lattice_table
 from .profiles import GaussianSpec, RadialProfile, _check_compatible, _write_csv, norm, sphere_area
-from .stft import (
-    OrbitPoint,
-    _averaged_shift_values,
-    _gaussian_shift_values,
-    _shifted_window_samples,
-    phi_node_count,
-)
+from .stft import OrbitPoint, _expanded_shift_values, _gaussian_shift_values
+
+# build_frame calls neither: the benchmark tracer (bench/tracing.py) looks
+# these two up on this module by name, as it does lattice_table
+from .stft import _averaged_shift_values, _shifted_window_samples  # noqa: F401
 
 __all__ = [
     "CoeffSeq",
@@ -117,6 +115,10 @@ class CoeffSeq:
             self._entries = dict(zip(keys, self.values.tolist()))
         return self._entries
 
+
+# radii per block of build_frame's expansion: one block's coefficients for
+# every r and s stay small next to the pair matrix
+_THETA_BLOCK = 128
 
 # rows per block when atoms are derived from the pair rows: a derived matrix
 # then needs about 128 KiB of temporaries at 1,024 grid points, not a
@@ -231,27 +233,30 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
 
     When the window's analytic evaluator is a ``GaussianSpec``, every atom
     comes from the closed-form rotation average (a confluent
-    hypergeometric 0F1, see ``radial_gabor.stft``); every other window is
-    integrated by phi-quadrature, and atoms on one (j, k) ring share the
-    shifted window samples.  The atoms at +ell and -ell of a ring have
-    cosines c and -c and come from one kernel evaluation, for every window
-    (``_averaged_shift_values``, ``_gaussian_shift_values``); the -ell atom
-    carries the conjugate half-phase.  The pair is stored as the rows
+    hypergeometric 0F1, see ``radial_gabor.stft``), one (j, k) ring per
+    task: the atoms at +ell and -ell have cosines c and -c and come from
+    one evaluation (``_gaussian_shift_values``), the -ell atom with the
+    conjugate half-phase.  The pair is stored as the rows
     R[ell] = (a_ell + a_-ell)/2 and R[-ell] = (a_ell - a_-ell)/(2i), the
     ell = 0 atom as it is.
 
-    A window whose evaluator returns real values gives a_-ell = conj(a_ell)
-    exactly, and ell = 0 atoms are real (their cosine, hence their
-    half-phase angle, is 0, or r or s is 0), so R is real: R[ell] = Re a_ell
-    and R[-ell] = Im a_ell, and the mirror kernel values are not used.  On
-    the r = 0 rings the phi-quadrature leaves an imaginary residue of a few
-    ulps where the exact average is real; the real R drops it.  Any other
-    window gives a complex R.
+    Every other window takes the Funk-Hecke expansion
+    (``_expanded_shift_values``): window coefficients once per distinct r,
+    plane-wave coefficients once per distinct s, and per ring the values
+    E + iO at c and E - iO at -c.  With psi = pi r s c and scale = sqrt(mu),
+    R[ell] = scale (cos(psi) E - sin(psi) O), R[-ell] = scale (sin(psi) E +
+    cos(psi) O), and the ell = 0 row is scale E (O is exactly 0 there).  The
+    radii run in blocks of ``_THETA_BLOCK``, one pool task each.  A
+    ValueError naming jk_max refuses an expansion that cannot be allocated.
 
-    Rings are independent and run on a small thread pool; results are
-    deterministic because every row is stored by index.  A ValueError
-    naming d rejects atoms whose values are not finite (the kernels
-    overflow in high dimensions).
+    A window whose evaluator returns real values gives a_-ell = conj(a_ell)
+    exactly, and ell = 0 atoms are real, so R is real: R[ell] = Re a_ell
+    and R[-ell] = Im a_ell.  Any other window gives a complex R.
+
+    Rings (Gaussian) or radius blocks (every other window) are independent
+    and run on a small thread pool; results are deterministic because every
+    row or block is stored by index.  A ValueError naming d rejects atoms
+    whose values are not finite (the kernels overflow in high dimensions).
     """
     if norm(window) == 0.0:
         raise ValueError("frame window must be nonzero")
@@ -260,29 +265,30 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
     table = lattice_table(spec)
     n_atoms = len(table)
     real = not np.iscomplexobj(window.evaluate(window.radii[:1]))
-    matrix = np.empty((n_atoms, window.radii.size), dtype=float if real else complex)
 
     # rows are in (j, k, ell) order, so a ring starts wherever (j, k) changes
     new_ring = (np.diff(table.j) != 0) | (np.diff(table.k) != 0)
     ring_starts = [0, *(np.flatnonzero(new_ring) + 1).tolist(), n_atoms]
+    # each ring as (start, the ell = 0 row, stop): ell = -n..n in order
+    rings = [(start, start + int(table.n_angles[start]), stop) for start, stop in zip(ring_starts, ring_starts[1:])]
 
     gaussian = window.analytic if isinstance(window.analytic, GaussianSpec) else None
+    if gaussian is None:
+        values = _expanded_shift_values(
+            window, [(float(table.r[mid]), float(table.s[mid]), table.c[mid:stop]) for _, mid, stop in rings])
+        half_phase = math.pi * table.r * table.s * table.c
+        scale = np.sqrt(table.mu) if normalized else 1.0
+        cos_psi, sin_psi = scale * np.cos(half_phase), scale * np.sin(half_phase)
+    matrix = np.empty((n_atoms, window.radii.size), dtype=float if real else complex)
 
-    def fill_ring(ring_idx: int) -> None:
-        start, stop = ring_starts[ring_idx], ring_starts[ring_idx + 1]
+    def fill_ring(ring: tuple[int, int, int]) -> None:
+        start, mid, stop = ring
         r = float(table.r[start])
         s = float(table.s[start])
-        if gaussian is None:
-            nodes = phi_node_count(window.theta_max, r, s)
-            ring = _shifted_window_samples(window, r, nodes)
-        mid = start + int(table.n_angles[start])  # ell = -n..n in order
         for ell in range(stop - mid):
             i = mid + ell
             point = OrbitPoint(r, s, float(table.c[i]))
-            if gaussian is None:
-                plus, minus = _averaged_shift_values(window, point, nodes, ring=ring)
-            else:
-                plus, minus = _gaussian_shift_values(gaussian, window.radii, window.dim, point)
+            plus, minus = _gaussian_shift_values(gaussian, window.radii, window.dim, point)
             phase = complex(
                 math.cos(math.pi * point.r * point.s * point.c),
                 math.sin(math.pi * point.r * point.s * point.c),
@@ -297,8 +303,18 @@ def build_frame(window: RadialProfile, spec: LatticeSpec, normalized: bool = Tru
                 mirror = (scale * phase.conjugate()) * minus
                 matrix[i], matrix[mid - ell] = 0.5 * (atom + mirror), -0.5j * (atom - mirror)
 
+    def fill_block(lo: int) -> None:
+        blk = slice(lo, lo + _THETA_BLOCK)
+        for (start, mid, stop), (even, odd) in zip(rings, values(blk)):
+            cp, sp = cos_psi[mid:stop], sin_psi[mid:stop]
+            matrix[mid:stop, blk] = (cp * even - sp * odd).T
+            matrix[start:mid, blk] = (sp * even + cp * odd)[:, :0:-1].T  # ell = -n..-1
+
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        list(pool.map(fill_ring, range(len(ring_starts) - 1)))
+        if gaussian is None:
+            list(pool.map(fill_block, range(0, window.radii.size, _THETA_BLOCK)))
+        else:
+            list(pool.map(fill_ring, rings))
     bad = np.count_nonzero(~np.isfinite(matrix.view(float)).all(axis=1))
     if bad:
         raise ValueError(f"{bad} of {n_atoms} atoms have non-finite values at d = {spec.d}")

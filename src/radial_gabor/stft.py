@@ -11,8 +11,25 @@ the single integral
         + r^2)) * exp(2 pi i theta s c cos(phi))
         * B_(d-1)(theta s sin(alpha) sin(phi)) * sin(phi)^(d-2) d phi,
 
-evaluated here by Gauss-Legendre quadrature on [0, pi] with the node count
-of ``phi_node_count``, which grows with the oscillation theta_max * (r + s).
+which ``rot_avg_shift`` and ``radial_stft`` evaluate by Gauss-Legendre
+quadrature on [0, pi] with the node count of ``phi_node_count``, which
+grows with the oscillation theta_max * (r + s).
+
+``build_frame`` splits it by the Funk-Hecke theorem instead
+(``_expanded_shift_values``).  With c_d the prefactor above, P_n = C_n /
+C_n(1) for the Gegenbauer C_n of index (d-2)/2 (T_n at d = 2) and
+h_n = int_0^pi P_n(cos(phi))^2 sin(phi)^(d-2) d phi,
+
+    Omega(r, s, c) f0 (theta) = c_d sum_(n < N) G_n(theta; r) H_n(theta; s) P_n(c) / h_n,
+
+where G_n and H_n integrate f0(sqrt(...)) above and exp(2 pi i theta s
+cos(phi)) against P_n(cos(phi)) sin(phi)^(d-2).  G_n takes one window pass
+per distinct r and H_n one cos/sin pass per distinct s.  The even n give
+E and the odd n O, and the values at c and -c are E + iO and E - iO.  One
+phi rule serves the lattice, that of ``phi_node_count`` at its largest
+r + s, with N = 32 ceil((pi theta_max (r + s) + 32) / 32).  A
+Gauss-Gegenbauer rule in t = cos(phi) would converge slowly: f0(|theta u -
+x|) has a sqrt(1 - t) singularity where theta = r.
 
 For a Gaussian g(theta) = A exp(-alpha theta^2) the average is exact,
 
@@ -26,13 +43,9 @@ closed form takes real-argument functions instead: B_d for w < 0 and the
 scaled modified Bessel function I_nu for w >= 0 (at d = 2, ``j0`` and
 ``i0e`` take a sixth to an eighth of the time of the complex ``ive``
 call).  ``build_frame`` uses it for ``GaussianSpec``
-windows; ``rot_avg_shift`` and ``radial_stft`` always integrate, so the
-closed form and the quadrature check each other.
-
-Both kernels return the values at (r, s, c) and at the mirror point
-(r, s, -c) together: the mirror differs only in the sign of the odd part
-of the oscillatory factor, so ``build_frame`` fills the lattice atoms at
-+ell and -ell of a ring from one evaluation.
+windows, with the values at (r, s, c) and at the mirror point (r, s, -c)
+from one call, as the expansion gives both; ``rot_avg_shift`` and
+``radial_stft`` always integrate, so the paths check each other.
 
 ``stft_direct_2d`` is a deliberately independent tensor-quadrature STFT in
 d = 2, used as an oracle by the tests and the acceptance suite.
@@ -102,15 +115,17 @@ def _gl_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 # A quadrature pass holds several (n_points, nodes) float64 arrays (window
 # samples, kernel, phases).  At the CLI's 1024-point grid, 2^27 samples
 # (1 GiB) per array allow 2^17 nodes; larger counts are refused before
-# anything is allocated.  Frame builds up to J = 24 need a few hundred.
+# anything is allocated.  The frame expansion's (nodes x degree) basis gets
+# the same budget; at J = 24 (a = b = 0.5, theta_max 8) it is 800 x 352.
 _MAX_PHI_NODES = 2**27 // 1024
 
 
 def phi_node_count(theta_max: float, r: float, s: float) -> int:
     """Gauss-Legendre node count on [0, pi] for the orbit (r, s): the
     oscillation-resolving minimum 8 (1 + theta_max (r + s)), at least 64,
-    rounded up to a multiple of 32 so rules can be cached across lattice
-    rings.  A ValueError naming r or s refuses a count above
+    rounded up to a multiple of 32 so rules can be cached across calls.
+    ``build_frame``'s expansion takes one such rule, at the largest r + s
+    of the lattice.  A ValueError naming r or s refuses a count above
     ``_MAX_PHI_NODES``, whose sample arrays cannot be allocated."""
     need = 8.0 * (1.0 + theta_max * s + theta_max * r)
     if not need <= _MAX_PHI_NODES:
@@ -126,7 +141,7 @@ def _shifted_window_samples(
     window: RadialProfile, r: float, quad_nodes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Window samples on the shifted radius sqrt(theta^2 - 2 r theta cos(phi)
-    + r^2); shared by every angle index on one lattice ring."""
+    + r^2) at the nodes of the ``quad_nodes``-point phi rule."""
     phi, w_phi = _gl_on(0.0, math.pi, quad_nodes)
     cos_phi = np.cos(phi)
     sin_phi = np.sin(phi)
@@ -137,24 +152,11 @@ def _shifted_window_samples(
     return fvals, cos_phi, sin_phi, w_phi
 
 
-def _averaged_shift_values(
-    window: RadialProfile,
-    point: OrbitPoint,
-    quad_nodes: int,
-    ring: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged shift of ``window`` at ``point`` and at its mirror (r, s, -c),
-    from one pass over the phi grid.
-
-    The two integrands share the window samples, the B_(d-1) factor and
-    cos(2 pi theta s c cos(phi)); only the sign of the sine part differs.
-    With E = (K cos) @ w and O = (K sin) @ w the values are E + iO at c and
-    E - iO at -c, for complex windows as well as real ones.
-    """
+def _averaged_shift_values(window: RadialProfile, point: OrbitPoint, quad_nodes: int) -> np.ndarray:
+    """Averaged shift of ``window`` at ``point`` by phi-quadrature with
+    ``quad_nodes`` nodes: the oracle that ``rot_avg_shift`` evaluates."""
     d = window.dim
-    if ring is None:
-        ring = _shifted_window_samples(window, point.r, quad_nodes)
-    fvals, cos_phi, sin_phi, w_phi = ring
+    fvals, cos_phi, sin_phi, w_phi = _shifted_window_samples(window, point.r, quad_nodes)
     theta = window.radii[:, None]
     s, c = point.s, point.c
     sin_alpha = math.sqrt(max(0.0, 1.0 - c * c))
@@ -167,14 +169,76 @@ def _averaged_shift_values(
 
     prefactor = sphere_area(d - 1) / sphere_area(d)
     if s == 0.0 or c == 0.0:
-        values = (prefactor * (kernel @ w_phi)).astype(complex)
-        return values, values
+        return (prefactor * (kernel @ w_phi)).astype(complex)
     # split the oscillatory factor into real transcendentals; complex exp
     # on large grids costs several times two real ones
     phase_arg = (2.0 * math.pi * s * c) * theta * cos_phi[None, :]
     even = (kernel * np.cos(phase_arg)) @ w_phi
     odd = (kernel * np.sin(phase_arg)) @ w_phi
-    return prefactor * (even + 1j * odd), prefactor * (even - 1j * odd)
+    return prefactor * (even + 1j * odd)
+
+
+def _gegenbauer_table(d: int, t: np.ndarray, degree: int) -> np.ndarray:
+    """(degree, t.size) table of P_n(t) = C_n(t) / C_n(1) by the recurrence
+    P_(n+1) = ((2n + d - 2) t P_n - n P_(n-1)) / (n + d - 2), stable on
+    [-1, 1] (|P_n| <= 1); P_n(0) = 0 exactly for odd n."""
+    out = np.empty((degree, t.size))
+    out[0] = 1.0
+    out[1] = t
+    for n in range(1, degree - 1):
+        out[n + 1] = ((2 * n + d - 2) * t * out[n] - n * out[n - 1]) / (n + d - 2)
+    return out
+
+
+def _expanded_shift_values(window: RadialProfile, rings: list[tuple[float, float, np.ndarray]]):
+    """Averaged shifts of ``window`` on lattice rings by the Funk-Hecke
+    expansion (module docstring); ``rings`` holds (r, s, cosines) per ring.
+    The result maps a slice of the radii to one (E, O) pair of (radii x
+    cosines) arrays per ring.  A ValueError naming jk_max refuses a
+    (nodes x degree) basis above the sample budget of ``_MAX_PHI_NODES``
+    before anything is allocated."""
+    d, theta_max = window.dim, window.theta_max
+    reach = max(r + s for r, s, _ in rings)
+    degree = 32 * math.ceil((math.pi * theta_max * reach + 32.0) / 32.0)
+    need = 8.0 * (1.0 + theta_max * reach)  # phi_node_count's count
+    if not need * degree <= _MAX_PHI_NODES * 1024:
+        raise ValueError(f"parameter jk_max: the lattice reaches r + s = {reach:g}, whose expansion needs "
+                         f"{need:.3g} phi nodes x degree {degree}, above the {_MAX_PHI_NODES * 1024} samples")
+    phi, w_phi = _gl_on(0.0, math.pi, phi_node_count(theta_max, reach, 0.0))
+    cos_phi = np.cos(phi)
+    # sqrt(c_d N(d, n)) P_n is orthonormal for the weight sin(phi)^(d-2) dphi,
+    # N(d, n) the dimension of the degree-n spherical harmonics in R^d
+    c_d = sphere_area(d - 1) / sphere_area(d)
+    dims = [math.comb(n + d - 1, d - 1) - math.comb(max(n + d - 3, 0), d - 1) for n in range(degree)]
+    basis = (_gegenbauer_table(d, cos_phi, degree) * np.sqrt(c_d * np.array(dims, dtype=float))[:, None]).T
+    basis *= (w_phi * np.sin(phi) ** (d - 2))[:, None]
+    basis_even, basis_odd = np.ascontiguousarray(basis[:, 0::2]), np.ascontiguousarray(basis[:, 1::2])
+    cosines = [np.asarray(c, dtype=float) for _, _, c in rings]
+    table = c_d * _gegenbauer_table(d, np.concatenate(cosines), degree)
+    splits = np.cumsum([c.size for c in cosines])[:-1]
+    weights = list(zip(np.split(table[0::2], splits, axis=1), np.split(table[1::2], splits, axis=1)))
+
+    def values(rows: slice):
+        theta = window.radii[rows, None]
+        window_coeffs, wave_coeffs = {}, {}
+        for (r, s, _), (w_even, w_odd) in zip(rings, weights):
+            if r not in window_coeffs:
+                # (theta - r cos phi)^2 + (r sin phi)^2 expanded; the clamp absorbs rounding
+                radicand = theta**2 - 2.0 * r * theta * cos_phi + r * r
+                samples = window.evaluate(np.sqrt(np.maximum(radicand, 0.0)))
+                # the rule's weights are ~1e-14 off: one column goes in exactly
+                # as (1/sqrt(c_d), 0, ...), so the r = 0 coefficients are exact
+                level = samples[:, [cos_phi.size // 2]]
+                g = (samples - level) @ basis
+                g[:, :1] += level / math.sqrt(c_d)
+                window_coeffs[r] = (g[:, 0::2], g[:, 1::2])
+            if s not in wave_coeffs:
+                arg = (2.0 * math.pi * s) * theta * cos_phi
+                wave_coeffs[s] = (np.cos(arg) @ basis_even, np.sin(arg) @ basis_odd)
+            (g_even, g_odd), (h_even, h_odd) = window_coeffs[r], wave_coeffs[s]
+            yield (g_even * h_even) @ w_even, (g_odd * h_odd) @ w_odd
+
+    return values
 
 
 def _gaussian_shift_values(
@@ -245,7 +309,7 @@ def rot_avg_shift(window: RadialProfile, point: OrbitPoint) -> RadialProfile:
     operator is an average of unitaries).
     """
     nodes = phi_node_count(window.theta_max, point.r, point.s)
-    return window.with_values(_averaged_shift_values(window, point, nodes)[0])
+    return window.with_values(_averaged_shift_values(window, point, nodes))
 
 
 def radial_stft(f: RadialProfile, g: RadialProfile, point: OrbitPoint) -> complex:

@@ -357,7 +357,7 @@ class TestGaborBaseline:
         assert np.max(np.abs(moved - base)) <= 1e-8 * f_norm
 
     def test_negative_n_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="parameter n: must be nonnegative, got -1"):
             gabor_baseline_2d(self.F, self.G, 0.5, 0.5, [-1, 4])
 
     def test_non_integer_n_rejected(self):

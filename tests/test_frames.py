@@ -17,12 +17,15 @@ from radial_gabor.frames import (
     synthesize,
 )
 from radial_gabor.lattice import LatticeIndex, LatticeSpec, lattice_table
+from radial_gabor import stft
 from radial_gabor.profiles import (
     GaussianSpec,
     inner,
     make_profile,
     norm,
     normalized_gaussian_window,
+    profile_from_csv,
+    profile_to_csv,
 )
 from radial_gabor.frames import _l2_error
 from radial_gabor.stft import (
@@ -86,17 +89,14 @@ class TestBuildFrame:
 
     def test_complex_window_conjugate_pairs_still_exact(self):
         # a complex window: its -ell atom is not the conjugate of the +ell one;
-        # spot-check one ring against direct integration at -c
+        # spot-check one ring against the phi-quadrature at each atom's own c
         window = normalized_gaussian_window(2)
         cw = window.with_values(window.values * np.exp(0.3j))
         fr = build_frame(cw, LatticeSpec(a=0.5, b=0.5, d=2, jk_max=3), normalized=True)
         tab = fr.table
-        i = int(np.flatnonzero((tab.j == 1) & (tab.k == 1) & (tab.ell == -1))[0])
-        p = OrbitPoint(float(tab.r[i]), float(tab.s[i]), float(tab.c[i]))
-        phase = np.exp(1j * math.pi * p.r * p.s * p.c)
-        expected = math.sqrt(tab.mu[i]) * phase * rot_avg_shift(cw, p).values
-        assert np.max(np.abs(fr.atom_matrix[i] - expected)) < 1e-12
-
+        ring = np.flatnonzero((tab.j == 1) & (tab.k == 1))
+        assert -1 in tab.ell[ring]
+        _assert_within_quadrature_error(fr, ring)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_gaussian_closed_form_matches_quadrature(self, d):
@@ -109,7 +109,7 @@ class TestBuildFrame:
 
     @staticmethod
     def _check_closed_form_against_quadrature(d, g):
-        # the same Gaussian as a plain function takes the phi-quadrature path
+        # the same Gaussian as a plain function takes the Funk-Hecke expansion
         spec = LatticeSpec(a=0.5, b=0.5, d=d, jk_max=5)
         closed = build_frame(make_profile(d, 8.0, 1024, g), spec, normalized=True)
         quad = build_frame(make_profile(d, 8.0, 1024, lambda t: g(t)), spec, normalized=True)
@@ -120,7 +120,7 @@ class TestBuildFrame:
         assert np.all(np.max(np.abs(closed.atom_matrix - quad.atom_matrix), axis=1) <= bound)
 
     def test_non_gaussian_real_window_conjugate_rows(self):
-        # a real window without closed form: the quadrature ring path, whose
+        # a real window without closed form: the Funk-Hecke expansion, whose
         # -ell atoms are the conjugates of the +ell ones
         window = make_profile(2, 8.0, 1024, lambda t: (1.0 + t**2) ** -4 * np.cos(t))
         fr = build_frame(window, LatticeSpec(a=0.5, b=0.5, d=2, jk_max=5), normalized=True)
@@ -139,18 +139,14 @@ class TestBuildFrame:
     @pytest.mark.parametrize("d", [2, 3])
     def test_complex_window_pairs_match_direct_integration(self, d):
         # (1+theta^2)^-4 e^(i theta) is genuinely complex, so its -ell atoms
-        # are not the conjugates of the +ell ones; rot_avg_shift integrates
-        # at -c directly and so checks the one-pass pair kernel
+        # are not the conjugates of the +ell ones; the phi-quadrature
+        # integrates at -c directly and so checks the expansion's odd part
         window = make_profile(d, 8.0, 1024, lambda t: (1.0 + t**2) ** -4 * np.exp(1j * t))
         fr = build_frame(window, LatticeSpec(a=0.5, b=0.5, d=d, jk_max=5), normalized=True)
         tab = fr.table
         for j, k in ((1, 1), (2, 3), (4, 1)):
             ring = np.flatnonzero((tab.j == j) & (tab.k == k))
-            for i in ring:
-                p = OrbitPoint(float(tab.r[i]), float(tab.s[i]), float(tab.c[i]))
-                phase = np.exp(1j * math.pi * p.r * p.s * p.c)
-                expected = math.sqrt(tab.mu[i]) * phase * rot_avg_shift(window, p).values
-                assert np.max(np.abs(fr.atom_matrix[i] - expected)) < 1e-12
+            _assert_within_quadrature_error(fr, ring)
             n, mid = int(tab.n_angles[ring[0]]), int(ring[0] + tab.n_angles[ring[0]])
             assert n >= 1
             for ell in range(1, n + 1):
@@ -158,19 +154,74 @@ class TestBuildFrame:
                 scale = math.sqrt(tab.mu[mid + ell]) * norm(window)
                 assert np.max(np.abs(minus - np.conj(plus))) > 1e-3 * scale
 
+    @pytest.mark.parametrize("d, jk_max", [(2, 16), (3, 16), (2, 24)])
+    def test_plain_function_gaussian_matches_closed_form(self, d, jk_max):
+        # the expansion on a Gaussian given as a plain function, over whole
+        # lattices, against the closed form
+        g = GaussianSpec(math.pi, 2.0 ** (d / 4.0))
+        spec = LatticeSpec(a=0.5, b=0.5, d=d, jk_max=jk_max)
+        closed = build_frame(make_profile(d, 8.0, 1024, g), spec)
+        expanded = build_frame(make_profile(d, 8.0, 1024, lambda t: g(t)), spec)
+        bound = 3e-13 * np.sqrt(closed.table.mu) * norm(closed.window)
+        assert np.all(np.max(np.abs(closed.pair_matrix - expanded.pair_matrix), axis=1) <= bound)
 
-def _rebuilt_atoms(fr):
-    """Atom rows straight from the pair kernels, each -ell row from the
-    mirror values with the conjugate half-phase."""
+    def test_spline_window_independent_of_thread_count(self, tmp_path, monkeypatch):
+        shape = make_profile(3, 8.0, 1024, lambda t: (1.0 + t**2) ** -3 * np.cos(2.0 * t))
+        profile_to_csv(shape, tmp_path / "window.csv")
+        window = profile_from_csv(tmp_path / "window.csv", 3)
+        spec = LatticeSpec(a=0.5, b=0.5, d=3, jk_max=6)
+        built = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RADIAL_GABOR_THREADS", threads)
+            built.append(build_frame(window, spec).pair_matrix)
+        assert built[0].dtype == np.float64
+        assert np.array_equal(built[0], built[1])
+
+    def test_unallocatable_expansion_rejected_naming_jk_max(self, monkeypatch):
+        # r + s = 4000 needs 2.6e5 phi nodes at theta_max 8, above _MAX_PHI_NODES
+        def allocated(*args):
+            raise AssertionError("the expansion was allocated")
+
+        monkeypatch.setattr(stft, "_gl_rule", allocated)
+        monkeypatch.setattr(stft, "_gegenbauer_table", allocated)
+        window = make_profile(2, 8.0, 64, lambda t: np.exp(-math.pi * t**2))
+        with pytest.raises(ValueError, match="parameter jk_max") as err:
+            build_frame(window, LatticeSpec(a=2000.0, b=2000.0, d=2, jk_max=2))
+        assert "parameter r" not in str(err.value) and "parameter s" not in str(err.value)
+
+
+def _quadrature_atoms(fr, rows, factor=1):
+    """Atom ``rows`` by phi-quadrature at factor x phi_node_count nodes, each
+    at its own cosine (a -ell atom directly at -c), with its half-phase."""
     w, t = fr.window, fr.table
-    g = w.analytic if isinstance(w.analytic, GaussianSpec) else None
+    out = np.empty((len(rows), w.radii.size), dtype=complex)
+    for n, i in enumerate(rows):
+        p = OrbitPoint(float(t.r[i]), float(t.s[i]), float(t.c[i]))
+        scale = math.sqrt(t.mu[i]) if fr.normalized else 1.0
+        phase = np.exp(1j * math.pi * p.r * p.s * p.c)
+        out[n] = scale * phase * _averaged_shift_values(w, p, factor * phi_node_count(w.theta_max, p.r, p.s))
+    return out
+
+
+def _assert_within_quadrature_error(fr, rows):
+    """Every atom row is no farther from the phi-quadrature at 8 x
+    phi_node_count nodes than the quadrature at phi_node_count is, plus
+    1e-13 ||g||."""
+    rows = np.asarray(rows)
+    ref = _quadrature_atoms(fr, rows, 8)
+    quad_err = np.max(np.abs(_quadrature_atoms(fr, rows) - ref), axis=1)
+    err = np.max(np.abs(fr._atom_rows(rows) - ref), axis=1)
+    assert np.all(err <= quad_err + 1e-13 * norm(fr.window)), (err, quad_err)
+
+
+def _closed_form_atoms(fr):
+    """Atom rows of a Gaussian-window frame straight from the closed form,
+    each -ell row from the mirror values with the conjugate half-phase."""
+    w, t = fr.window, fr.table
     out = np.empty((len(fr), w.radii.size), dtype=complex)
     for i in np.flatnonzero(t.ell >= 0):
         p = OrbitPoint(float(t.r[i]), float(t.s[i]), float(t.c[i]))
-        if g is None:
-            plus, minus = _averaged_shift_values(w, p, phi_node_count(w.theta_max, p.r, p.s))
-        else:
-            plus, minus = _gaussian_shift_values(g, w.radii, w.dim, p)
+        plus, minus = _gaussian_shift_values(w.analytic, w.radii, w.dim, p)
         phase = complex(math.cos(math.pi * p.r * p.s * p.c), math.sin(math.pi * p.r * p.s * p.c))
         scale = math.sqrt(t.mu[i]) if fr.normalized else 1.0
         out[i] = (scale * phase) * plus
@@ -186,19 +237,15 @@ class TestRealForm:
         g = GaussianSpec(math.pi, 2.0 ** (d / 4.0))
         window = make_profile(d, 8.0, 1024, g if path == "closed" else (lambda t: g(t)))
         fr = build_frame(window, LatticeSpec(a=0.5, b=0.5, d=d, jk_max=4 if path == "closed" else 3))
-        atoms, ref = fr.atom_matrix, _rebuilt_atoms(fr)
-        assert fr.pair_matrix.dtype == np.float64 and fr.pair_matrix.shape == ref.shape
+        atoms = fr.atom_matrix
+        assert fr.pair_matrix.dtype == np.float64 and fr.pair_matrix.shape == atoms.shape
         assert atoms.dtype == complex and not atoms.flags.writeable
-        origin_rings = fr.table.r == 0.0
         if path == "closed":
-            assert np.array_equal(atoms, ref)
+            assert np.array_equal(atoms, _closed_form_atoms(fr))
         else:
-            # the quadrature leaves an imaginary residue of a few ulps on the
-            # r = 0 rings, where the exact average is real; the real form drops it
-            assert np.array_equal(atoms[~origin_rings], ref[~origin_rings])
-            assert np.array_equal(atoms.real, ref.real) and not atoms[origin_rings].imag.any()
-            residue = np.max(np.abs(ref[origin_rings].imag), axis=1)
-            assert np.all(residue <= 1e-15 * np.max(np.abs(ref[origin_rings]), axis=1))
+            _assert_within_quadrature_error(fr, np.arange(len(fr)))
+        # the exact average is real on the r = 0 rings, and so are their rows
+        assert not atoms[fr.table.r == 0.0].imag.any()
         rows = np.random.default_rng(d).permutation(len(fr))[: len(fr) - 3]
         assert np.array_equal(fr._atom_rows(rows), atoms[rows])
 
@@ -211,9 +258,12 @@ class TestRealForm:
             w = make_profile(d, 8.0, 1024, lambda t: (1.0 + t**2) ** -4 * np.exp(1j * t))
         fr = build_frame(w, LatticeSpec(a=0.5, b=0.5, d=d, jk_max=5))
         assert fr.pair_matrix.dtype == complex
-        ref = _rebuilt_atoms(fr)
-        scale = np.max(np.abs(ref), axis=1, keepdims=True)
-        assert np.all(np.abs(fr.atom_matrix - ref) <= 4e-16 * scale)
+        if window == "complex-amplitude":
+            ref = _closed_form_atoms(fr)
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.all(np.abs(fr.atom_matrix - ref) <= 4e-16 * scale)
+        else:
+            _assert_within_quadrature_error(fr, np.arange(len(fr)))
         base = make_profile(d, 8.0, 1024, GaussianSpec(2.0 * math.pi))
         for f in (base, base.with_values(base.values * (1.0 + 0.5j))):
             res = reconstruct(f, fr, tol=1e-4, max_iter=2000)

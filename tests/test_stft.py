@@ -124,8 +124,8 @@ class TestRotAvgShift:
         g = normalized_gaussian_window(2)
         p = OrbitPoint(2.0, 3.0, -0.4)
         need = phi_node_count(g.theta_max, p.r, p.s)
-        a = stft._averaged_shift_values(g, p, need)[0]
-        b = stft._averaged_shift_values(g, p, 2 * need)[0]
+        a = stft._averaged_shift_values(g, p, need)
+        b = stft._averaged_shift_values(g, p, 2 * need)
         assert np.max(np.abs(a - b)) < 1e-9
         assert np.array_equal(a, rot_avg_shift(g, p).values)
 
